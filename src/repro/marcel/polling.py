@@ -24,7 +24,13 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-from repro.sim.coroutines import charge, clock_sleep, sleep, wait
+from repro.sim.coroutines import (
+    charge,
+    clock_charge,
+    clock_sleep,
+    sleep,
+    wait,
+)
 from repro.sim.cpu import Task
 from repro.sim.sync import Mailbox
 from repro.marcel.thread import MarcelRuntime
@@ -123,6 +129,9 @@ class PollingThread:
         idle_period = self.source.idle_period or period
         cpu = self.runtime.cpu
         engine = self.runtime.engine
+        # A queued item ends this thread's inertness: the post re-exposes
+        # whatever self-clock event is pending (see Engine.expose_clock).
+        mailbox.poller_cpu = cpu
         fuzz = engine.fuzz
         if fuzz is not None:
             # Schedule fuzzing: offset this poller's first tick.  A
@@ -138,7 +147,15 @@ class PollingThread:
                 ins.count("poll.wakeups", 1, source=self.source.name,
                           mode="periodic")
             if cost:
-                yield charge(cost)
+                # The whole idle cycle self-clocks: with the mailbox empty
+                # and nothing else runnable here, this select completes
+                # without anyone else being able to tell — file it like
+                # the wake (clock_charge), so peer pollers' fast-forwards
+                # see past the charge too.
+                if len(mailbox) == 0 and cpu.ready_count() == 0:
+                    yield clock_charge(cost)
+                else:
+                    yield charge(cost)
             handled_any = False
             while len(mailbox) > 0:
                 handled_any = True
@@ -160,10 +177,10 @@ class PollingThread:
                     yield sleep(pause)
                     continue
                 # The mailbox is empty right now (handled_any is False and
-                # the drain loop above saw it empty), so this wake is a
-                # pure self-clock tick until some *other* engine event
-                # posts — file it as one (clock_sleep) so peer pollers'
-                # fast-forwards can see past it.
+                # the drain loop above saw it empty) and the CPU idle, so
+                # this thread is inert until some *other* engine event
+                # posts or readies a task here: the wake is a self-clock
+                # event (clock_sleep) peer fast-forwards can see past.
                 skipped = self._idle_skip(pause)
                 if skipped:
                     # Idle-poll fast-forward: absorb `skipped` whole
@@ -181,11 +198,12 @@ class PollingThread:
         the mailbox empty, sleep ``pause``.  Nothing can change its
         inputs before the next *payload* event fires (every arrival and
         every wake of a competing task is an engine event;
-        ``Engine.next_payload_time`` excludes peer pollers' own
-        self-clock ticks, which provably cannot touch this CPU or this
-        mailbox), so each tick whose mailbox *check* lands strictly
-        before that event is pure overhead: ~480k events per figure6
-        series in the pre-fast-forward profile.
+        ``Engine.next_payload_time`` excludes the self-clock wakes and
+        charges of peer pollers that are themselves inert, which cannot
+        touch this CPU or this mailbox), so each tick whose mailbox
+        *check* lands strictly before that event is pure overhead: with
+        the charges visible, two idle tcp pollers bounded each other to
+        under one cycle and 156 251 events ran to move 80 messages.
 
         This computes how many such ticks are ahead, performs their
         bookkeeping arithmetically — same ``polls``, same per-task

@@ -18,12 +18,14 @@ The kernel is deliberately tiny and deterministic:
 
 from repro.sim.coroutines import (
     Charge,
+    ClockCharge,
     ClockSleep,
     GetTime,
     Sleep,
     Wait,
     YieldCPU,
     charge,
+    clock_charge,
     clock_sleep,
     now,
     sleep,
@@ -72,6 +74,7 @@ __all__ = [
     "NULL_INSTRUMENTS",
     "GetTime",
     "Mailbox",
+    "ClockCharge",
     "ClockSleep",
     "MailboxSelect",
     "Mutex",
@@ -82,6 +85,7 @@ __all__ = [
     "Wait",
     "YieldCPU",
     "charge",
+    "clock_charge",
     "clock_sleep",
     "install_checker",
     "install_instrumentation",

@@ -55,15 +55,25 @@ class Sleep(SystemCall):
 
 
 class ClockSleep(Sleep):
-    """A :class:`Sleep` whose wake is a pure self-clock tick.
+    """A :class:`Sleep` whose wake is a self-clock event of an idle poller.
 
-    Used by periodic polling threads for their between-poll pauses: the
-    wake affects nothing but the sleeping thread itself (its mailbox can
-    only be filled by other engine events).  The engine files these
-    wakes separately so the idle-poll fast-forward can ask "when is the
-    next event that could actually *change* something?" without two
-    idle pollers pinning each other awake (see
-    ``Engine.next_payload_time``).
+    A periodic polling thread yields this for a between-poll pause it
+    starts with an empty mailbox on an otherwise idle CPU.  Until some
+    other event posts to that mailbox or readies a task on that CPU, the
+    wake changes nothing outside the thread, so the engine files it where
+    ``Engine.next_payload_time`` can see past it — idle pollers then
+    fast-forward together instead of pinning each other awake.
+    """
+
+    __slots__ = ()
+
+
+class ClockCharge(Charge):
+    """A :class:`Charge` whose completion is a self-clock event.
+
+    The ``poll_cost`` of a poll tick that starts with an empty mailbox
+    and nothing else runnable on its CPU: the other half of the idle
+    cycle :class:`ClockSleep` begins, hidden and re-exposed alike.
     """
 
     __slots__ = ()
@@ -105,8 +115,13 @@ def sleep(duration: int) -> Sleep:
 
 
 def clock_sleep(duration: int) -> ClockSleep:
-    """Release the CPU for ``duration`` ns as a poller self-clock tick."""
+    """Release the CPU for ``duration`` ns; the wake is a self-clock event."""
     return ClockSleep(duration)
+
+
+def clock_charge(duration: int) -> ClockCharge:
+    """Busy the CPU for ``duration`` ns; the completion is a self-clock event."""
+    return ClockCharge(duration)
 
 
 def wait(waitable: Any) -> Wait:

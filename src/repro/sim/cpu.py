@@ -26,6 +26,7 @@ from typing import Any, Callable, Generator, Iterable
 from repro.errors import SimulationError
 from repro.sim.coroutines import (
     Charge,
+    ClockCharge,
     ClockSleep,
     GetTime,
     Sleep,
@@ -58,6 +59,10 @@ class TaskState(enum.Enum):
     READY = "ready"
     RUNNING = "running"
     CHARGING = "charging"  # holding the CPU while virtual time passes
+    #: Charging, and the completion is a hidden self-clock event (an
+    #: idle poll tick's ``clock_charge``): a task made ready behind it
+    #: must re-expose it, see ``Engine.expose_clock``.
+    CLOCK_CHARGING = "clock-charging"
     SLEEPING = "sleeping"
     BLOCKED = "blocked"
     DONE = "done"
@@ -281,7 +286,8 @@ class CPU:
         """Unblock ``task`` with ``value`` as the result of its pending wait."""
         if task.finished:
             return
-        if task.state in (TaskState.READY, TaskState.RUNNING, TaskState.CHARGING):
+        if task.state in (TaskState.READY, TaskState.RUNNING,
+                          TaskState.CHARGING, TaskState.CLOCK_CHARGING):
             raise SimulationError(f"cannot wake {task!r}: not blocked or sleeping")
         task.state = TaskState.READY
         task.waiting_on = None
@@ -377,9 +383,15 @@ class CPU:
             self._ready_dead += 1
 
     def _ensure_dispatch(self) -> None:
-        if self.current is None and not self._dispatch_pending:
-            self._dispatch_pending = True
-            self.engine.call_soon(self._dispatch)
+        current = self.current
+        if current is None:
+            if not self._dispatch_pending:
+                self._dispatch_pending = True
+                self.engine.call_soon(self._dispatch)
+        elif current.state is TaskState.CLOCK_CHARGING:
+            # A task is now runnable behind a hidden charge: what it does
+            # once that charge releases the CPU is no longer inert.
+            self.engine.expose_clock(self)
 
     def _release_cpu(self) -> None:
         """The CPU just went idle at the tail of an event callback.
@@ -444,7 +456,8 @@ class CPU:
         ``_release_cpu``).
         """
         if task.finished:
-            self.current = None
+            # Killed mid-charge or mid-switch: kill() freed the CPU then,
+            # and whoever holds it now must not lose it to this stale event.
             return
         self._last_ran = task
         engine = self.engine
@@ -506,48 +519,19 @@ class CPU:
                 task._queued = True
                 self._ready.append(task)
                 return
-            # Subclasses of the syscall types still work, just off the
-            # fast path.
-            if isinstance(syscall, Charge):
+            if cls is ClockCharge:
                 duration = syscall.duration
                 if duration == 0:
                     continue
-                task.state = TaskState.CHARGING
+                task.state = TaskState.CLOCK_CHARGING
                 self.busy_time += duration
                 task.cpu_time += duration
-                engine.schedule_discard(duration, self._resume_event, task, None)
-                return
-            if isinstance(syscall, GetTime):
-                value = engine._now
-                continue
-            if isinstance(syscall, Wait):
-                acquired, wait_value = syscall.waitable._try_acquire(task)
-                if acquired:
-                    value = wait_value
-                    continue
-                task.state = TaskState.BLOCKED
-                task.waiting_on = syscall.waitable
-                self.current = None
-                return
-            if isinstance(syscall, Sleep):
-                task.state = TaskState.SLEEPING
-                self.current = None
-                if isinstance(syscall, ClockSleep):
-                    engine.schedule_clock(syscall.duration, self,
-                                          self._wake_sleeper, task)
-                else:
-                    engine.schedule_discard(syscall.duration,
-                                            self._wake_sleeper, task)
-                return
-            if isinstance(syscall, YieldCPU):
-                task.state = TaskState.READY
-                self.current = None
-                task._queued = True
-                self._ready.append(task)
+                engine.schedule_clock(duration, self, self._resume_event,
+                                      task, None)
                 return
             raise SimulationError(
-                f"task {task.name} yielded {syscall!r}, which is not a SystemCall"
-            )
+                f"task {task.name} yielded {syscall!r}, which is not one of "
+                "the system calls of repro.sim.coroutines")
 
     def _wake_sleeper(self, task: Task) -> None:
         if task.finished:
@@ -555,8 +539,11 @@ class CPU:
         task.state = TaskState.READY
         task._queued = True
         self._ready.append(task)
-        if self.current is None:
+        current = self.current
+        if current is None:
             self._release_cpu()
+        elif current.state is TaskState.CLOCK_CHARGING:
+            self.engine.expose_clock(self)
         # else: the CPU is busy; whoever releases it dispatches.
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -187,18 +187,24 @@ class Engine:
         self._queue: list[tuple[int, int, Event]] = []
         #: Zero-delay events in FIFO (== (time, seq)) order.
         self._immediate: deque[Event] = deque()
-        #: Poller self-clock wakes as (time, seq, Event, cpu) heap entries
-        #: — same ordering contract, filed apart so
+        #: Idle pollers' self-clock events (sleep wakes and poll-cost
+        #: charge completions) as (time, seq, Event, cpu) heap entries —
+        #: same ordering contract, filed apart so
         #: :meth:`next_payload_time` can see past them (one entry per
-        #: sleeping periodic poller, so this heap stays tiny).
+        #: idle periodic poller, so this heap stays tiny).
         self._clock_queue: list[tuple[int, int, Event, Any]] = []
-        #: Per-CPU mirror of the clock queue's wake times (cpu -> time
+        #: Per-CPU mirror of the clock queue's times (cpu -> time
         #: min-heap).  :meth:`next_payload_time` used to linear-scan the
         #: clock queue per idle-skip — fine at 2 pollers, O(ranks²) in a
         #: 1024-rank quiescent world.  The mirror makes the per-CPU peek
         #: O(1): this is what lets idle ranks fast-forward at ~zero cost
         #: regardless of world size.
         self._clock_by_cpu: dict[Any, list[int]] = {}
+        #: CPUs whose owner stopped being inert while clock entries were
+        #: pending (:meth:`expose_clock`): cpu -> latest such entry's
+        #: time.  Every CPU's :meth:`next_payload_time` is bounded by
+        #: those entries until they have fired.
+        self._clock_exposed: dict[Any, int] = {}
         #: Cancelled events still sitting in either queue.
         self._cancelled: int = 0
         self._pool: list[Event] = []
@@ -375,16 +381,17 @@ class Engine:
 
     def schedule_clock(self, delay: int, cpu: Any,
                        callback: Callable[..., Any], *args: Any) -> None:
-        """Schedule a poller self-clock wake ``delay`` ns from now.
+        """Schedule a self-clock event of an idle poller on ``cpu``.
 
-        Pooled and fire-and-forget like :meth:`schedule_discard`, but
-        filed in the clock queue: the wake belongs to an idle periodic
-        poller on ``cpu`` and cannot influence anything except that
-        poller (its mailbox only fills from *other* engine events).
-        Execution order is still exact (time, seq) — :meth:`step` merges
-        all three queues — but :meth:`next_payload_time` can exclude
-        these, which is what lets two idle pollers fast-forward past
-        each other instead of pinning each other awake.
+        Pooled and fire-and-forget like :meth:`schedule_discard`, with
+        the same ``(time, seq)`` — :meth:`step_batch` merges all three
+        queues, so execution order is exactly what one heap would give —
+        but filed in the clock queue.  The caller vouches that ``cpu``'s
+        poller is *inert*: its mailbox is empty and nothing else is
+        runnable or running on ``cpu``, so firing the event changes
+        nothing outside that poller and :meth:`next_payload_time` may
+        hide it from every other CPU.  Whoever ends the inertness must
+        call :meth:`expose_clock`.
         """
         time = self._now + int(delay)
         if self._pool:
@@ -404,6 +411,20 @@ class Engine:
         if percpu is None:
             percpu = self._clock_by_cpu[cpu] = []
         heapq.heappush(percpu, time)
+
+    def expose_clock(self, cpu: Any) -> None:
+        """``cpu`` stopped being inert: un-hide its pending clock entries.
+
+        Called for the two mutations that make a hidden event matter to
+        others — a post into a periodic poller's mailbox, a task made
+        ready on a CPU that a hidden charge holds.  What the poller does
+        when the entry fires (run a handler, release the CPU to a
+        sender) is queued only then, so until then the entry itself must
+        bound every fast-forward.  Entries filed later start hidden.
+        """
+        percpu = self._clock_by_cpu.get(cpu)
+        if percpu:
+            self._clock_exposed[cpu] = max(percpu)
 
     # -- cancellation accounting ------------------------------------------
 
@@ -471,26 +492,21 @@ class Engine:
             best = clock[0][0]
         return best
 
-    def next_event_time(self) -> int | None:
-        """Public peek: when the next queued event fires (None if none).
-
-        The idle-poll fast-forward uses this to bound how far it may
-        skip: nothing observable can change before this timestamp.
-        """
-        return self._peek_time()
-
     def next_payload_time(self, cpu: Any) -> int | None:
         """When the next event that could affect ``cpu`` fires.
 
-        Like :meth:`next_event_time` but sees past *other* CPUs' poller
-        self-clock wakes (see :meth:`schedule_clock`): such a wake runs
-        an idle poller that only touches its own CPU and its own (empty)
-        mailbox, so it cannot post a payload, wake a task, or change the
-        ready count on ``cpu`` before some non-clock event fires first.
-        Same-CPU clock entries *are* included — another poller waking on
-        this CPU flips its busy/idle decision.  This is the bound the
-        idle-poll fast-forward skips to; excluding each other's clocks
-        is what keeps two idle pollers from pinning each other awake.
+        This is where "which pending events may a fast-forward skip
+        past" is decided (the idle-poll fast-forward skips to this
+        bound).  Timed and zero-delay events never; clock entries
+        (:meth:`schedule_clock`) of *other* CPUs always, unless that CPU
+        was re-exposed (:meth:`expose_clock`) and the entries pending
+        then have not all fired.  An unexposed entry belongs to an inert
+        poller: firing it only files that poller's next clock entry, so
+        nothing can post a payload, wake a task or change the ready
+        count on ``cpu`` before some event counted here fires first —
+        any number of idle pollers see past each other's whole cycle.
+        ``cpu``'s own clock entries are always counted: another poller
+        waking on this CPU flips its busy/idle decision.
         """
         queue = self._queue
         immediate = self._immediate
@@ -508,9 +524,18 @@ class Engine:
         # O(1) per-CPU peek via the clock-queue mirror (an idle 1024-rank
         # world calls this once per poller fast-forward; a linear scan of
         # the clock queue here was O(ranks) per call, O(ranks²) per tick).
-        percpu = self._clock_by_cpu.get(cpu)
+        by_cpu = self._clock_by_cpu
+        percpu = by_cpu.get(cpu)
         if percpu and (best is None or percpu[0] < best):
             best = percpu[0]
+        exposed = self._clock_exposed
+        if exposed:
+            for other, until in tuple(exposed.items()):
+                percpu = by_cpu[other]
+                if not percpu or percpu[0] > until:
+                    del exposed[other]  # all fired: hidden again
+                elif best is None or percpu[0] < best:
+                    best = percpu[0]
         return best
 
     def quiet_now(self) -> bool:
@@ -525,66 +550,8 @@ class Engine:
         return t is None or t > self._now
 
     def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none remain.
-
-        The pop logic of :meth:`_next_live` is inlined here: this method
-        runs once per simulated event and the extra call was measurable.
-        """
-        queue = self._queue
-        immediate = self._immediate
-        clock = self._clock_queue
-        pool = self._pool
-        while True:
-            # Three-way (time, seq) merge of the queue heads; src tracks
-            # which structure currently holds the minimum.
-            src = 0
-            if immediate:
-                head_event = immediate[0]
-                time = head_event.time
-                seq = head_event.seq
-                src = 1
-            if queue:
-                head = queue[0]
-                if src == 0 or head[0] < time or (head[0] == time
-                                                  and head[1] < seq):
-                    time = head[0]
-                    seq = head[1]
-                    src = 2
-            if clock:
-                head = clock[0]
-                if src == 0 or head[0] < time or (head[0] == time
-                                                  and head[1] < seq):
-                    src = 3
-            if src == 0:
-                return False
-            if src == 1:
-                event = immediate.popleft()
-            elif src == 2:
-                event = heapq.heappop(queue)[2]
-            else:
-                entry = heapq.heappop(clock)
-                event = entry[2]
-                # Keep the per-CPU mirror in sync: a CPU's clock entries
-                # pop in its own (time, seq) order, so the global pop's
-                # time is that CPU's minimum.
-                heapq.heappop(self._clock_by_cpu[entry[3]])
-            if event.cancelled:
-                self._cancelled -= 1
-                self._release(event)
-                continue
-            if event.time < self._now:  # pragma: no cover - defensive
-                raise SimulationError("event queue went backwards in time")
-            # Marked done on pop: a cancel() arriving while (or after) the
-            # callback runs must not touch the queued-cancelled counter.
-            event._done = True
-            self._now = event.time
-            self.events_executed += 1
-            event.callback(*event.args)
-            if event._pooled and len(pool) < _POOL_MAX:
-                event.callback = None  # type: ignore[assignment]
-                event.args = ()
-                pool.append(event)
-            return True
+        """Execute the next pending event.  Returns False if none remain."""
+        return self.step_batch(1) == 1
 
     def step_batch(self, limit: int, stop_flag: Any = None) -> int:
         """Execute up to ``limit`` events in one dispatch sweep.
@@ -618,7 +585,8 @@ class Engine:
         while executed < limit:
             if check_stop and stop_flag[0]:
                 break
-            # Three-way (time, seq) merge, exactly as in step().
+            # Three-way (time, seq) merge of the queue heads; src tracks
+            # which structure currently holds the minimum.
             src = 0
             if immediate:
                 head_event = immediate[0]
@@ -646,11 +614,16 @@ class Engine:
             else:
                 entry = heapq.heappop(clock)
                 event = entry[2]
+                # Keep the per-CPU mirror in sync: a CPU's clock entries
+                # pop in its own (time, seq) order, so the global pop's
+                # time is that CPU's minimum.
                 heapq.heappop(self._clock_by_cpu[entry[3]])
             if event.cancelled:
                 self._cancelled -= 1
                 self._release(event)
                 continue
+            # Marked done on pop: a cancel() arriving while (or after) the
+            # callback runs must not touch the queued-cancelled counter.
             event._done = True
             now = event.time
             self._now = now

@@ -151,6 +151,10 @@ class Mailbox:
         self.name = name or "mailbox"
         self._items: deque[Any] = deque()
         self._waiters: deque["Task"] = deque()
+        #: Set by a periodic polling thread to its CPU: a queued item
+        #: ends that poller's inertness, so :meth:`post` re-exposes the
+        #: CPU's hidden self-clock events (``Engine.expose_clock``).
+        self.poller_cpu: Any = None
 
     def _try_acquire(self, task: "Task") -> tuple[bool, Any]:
         if self._items:
@@ -165,6 +169,9 @@ class Mailbox:
             task.cpu.make_ready(task, item)
         else:
             self._items.append(item)
+            cpu = self.poller_cpu
+            if cpu is not None:
+                cpu.engine.expose_clock(cpu)
 
     def __len__(self) -> int:
         return len(self._items)

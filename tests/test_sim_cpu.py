@@ -9,6 +9,7 @@ from repro.sim import (
     Semaphore,
     TaskState,
     charge,
+    clock_charge,
     now,
     sleep,
     wait,
@@ -181,6 +182,62 @@ def test_task_exception_propagates_to_run(engine, cpu):
 def test_spawn_rejects_non_generator(engine, cpu):
     with pytest.raises(SimulationError, match="generator"):
         cpu.spawn(lambda: 42)
+
+
+def test_yielding_a_non_syscall_is_an_error(engine, cpu):
+    def body():
+        yield 42
+
+    cpu.spawn(body)
+    with pytest.raises(SimulationError, match="system calls"):
+        engine.run()
+
+
+def test_clock_charge_is_a_charge_filed_as_a_self_clock_event(engine, cpu):
+    order = []
+
+    def holder():
+        yield clock_charge(10)
+        order.append(("holder", engine.now))
+
+    def other():
+        order.append(("other", engine.now))
+        yield charge(0)
+
+    task = cpu.spawn(holder)
+    engine.schedule(40, lambda: None)
+    engine.step()                                  # dispatch: now charging
+    assert task.state is TaskState.CLOCK_CHARGING and cpu.current is task
+    assert (cpu.busy_time, task.cpu_time) == (10, 10)
+    # Another CPU's fast-forward sees past the completion ...
+    bystander = object()
+    assert engine.next_payload_time(bystander) == 40
+    # ... until a task is runnable behind it: what that task does once the
+    # CPU is released is queued only then.
+    engine.schedule(3, cpu.spawn, other)
+    engine.step()
+    assert engine.next_payload_time(bystander) == 10
+    engine.run()
+    assert order == [("holder", 10), ("other", 10)]    # it held the CPU
+    assert engine.next_payload_time(bystander) is None
+
+
+def test_stale_completion_of_a_killed_charger_leaves_the_cpu_alone(engine, cpu):
+    finished = []
+
+    def victim():
+        yield charge(6)
+
+    def worker(name):
+        yield charge(20)
+        finished.append((name, engine.now))
+
+    task = cpu.spawn(victim)
+    engine.schedule(2, lambda: (task.kill(), cpu.spawn(worker("first"))))
+    # Readied after the victim's stale completion (t=6) fires mid-charge.
+    engine.schedule(10, lambda: cpu.spawn(worker("second")))
+    engine.run()
+    assert finished == [("first", 22), ("second", 42)]
 
 
 def test_kill_blocked_task(engine, cpu):

@@ -275,7 +275,44 @@ def test_next_payload_time_sees_past_other_cpus_clock_wakes():
     assert engine.next_payload_time(cpu_a) == 40
     # … but its own clock entries and real events are not.
     assert engine.next_payload_time(cpu_b) == 5
-    assert engine.next_event_time() == 5
+    # The entry is hidden from the bound, not from execution.
+    engine.step()
+    assert engine.now == 5
+
+
+def test_exposed_clock_entry_bounds_every_cpu_until_it_fires():
+    engine = Engine()
+    cpu_a, cpu_b = object(), object()
+    engine.schedule_clock(5, cpu_b, lambda: None)
+    engine.schedule(40, lambda: None)
+    assert engine.next_payload_time(cpu_a) == 40   # hidden: skipped past
+    engine.expose_clock(cpu_b)                     # cpu_b stopped being inert
+    assert engine.next_payload_time(cpu_a) == 5    # ... so it is the bound
+    assert engine.next_payload_time(cpu_a) == 5    # ... on every later call
+    # Entries filed after the exposure start hidden again.
+    engine.schedule_clock(9, cpu_b, lambda: None)
+    engine.step()                                  # fires cpu_b@5
+    assert engine.now == 5
+    assert engine.next_payload_time(cpu_a) == 40
+    assert engine.next_payload_time(cpu_b) == 9
+
+
+def test_expose_clock_covers_all_pending_entries_and_nothing_else():
+    engine = Engine()
+    cpu_a, cpu_b, cpu_c = object(), object(), object()
+    engine.expose_clock(cpu_b)                     # nothing pending: no-op
+    engine.schedule_clock(5, cpu_b, lambda: None)
+    engine.schedule_clock(12, cpu_b, lambda: None)
+    engine.schedule_clock(3, cpu_c, lambda: None)
+    engine.schedule(40, lambda: None)
+    assert engine.next_payload_time(cpu_a) == 40
+    engine.expose_clock(cpu_b)
+    assert engine.next_payload_time(cpu_a) == 5    # cpu_c@3 stays hidden
+    engine.step()                                  # cpu_c@3
+    engine.step()                                  # cpu_b@5
+    assert engine.next_payload_time(cpu_a) == 12   # second exposed entry
+    engine.step()                                  # cpu_b@12
+    assert engine.next_payload_time(cpu_a) == 40
 
 
 def test_next_payload_time_skims_cancelled_heads():

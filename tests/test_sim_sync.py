@@ -239,6 +239,17 @@ class TestMailbox:
         engine.run()
         assert got == [("a", 1), ("b", 2)]
 
+    def test_queued_item_re_exposes_the_polling_cpus_clock_events(
+            self, engine, cpu):
+        box = Mailbox()
+        box.poller_cpu = cpu            # what a periodic PollingThread sets
+        engine.schedule_clock(30, cpu, lambda: None)
+        engine.schedule(90, lambda: None)
+        bystander = object()
+        assert engine.next_payload_time(bystander) == 90
+        box.post("pkt")                 # the poller is no longer inert
+        assert engine.next_payload_time(bystander) == 30
+
 
 class TestCondition:
     def test_wait_holding_releases_and_reacquires(self, engine, cpu):
