@@ -12,11 +12,11 @@ Three probes, smallest to largest:
   measured against.
 
 ``python benchmarks/perf/simperf.py --output BENCH_simperf.json``
-writes a machine-readable record; CI compares ``figure6_wall`` and
-``engine_throughput`` against the committed baseline and fails on a
->30 % wall-clock regression.  All probes measure *wall-clock only*:
-virtual-time results are pinned separately by the golden digests in
-``tests/test_determinism.py``.
+writes a machine-readable record; with ``--baseline`` the run is compared
+with the committed record (:func:`check_baseline`): a >30 % ``figure6_wall``
+wall-clock regression fails, and so does any difference in what the
+probes *compute* — the figure's latency checksum, the ping-pong's one-way
+time — or a ping-pong that needs more engine events than the baseline.
 """
 
 from __future__ import annotations
@@ -131,6 +131,50 @@ def run_suite(quick: bool = False) -> dict:
     }
 
 
+def check_baseline(record: dict, baseline: dict,
+                   max_regression: float = 0.30) -> list[str]:
+    """Compare a run with the committed baseline; returns the failures.
+
+    Wall-clock is toleranced (``figure6_wall`` may be up to
+    ``max_regression`` slower).  What the simulator *computes* is not:
+    the figure's latency checksum and the ping-pong's one-way time must
+    equal the baseline's, and the ping-pong may not execute more events
+    than the baseline did — the count repeats exactly, so one event more
+    means a fused charge came apart (or a poll tick stopped being
+    skipped).  Probes the run did not make (``--quick`` has no figure,
+    and a different ``reps``) are not compared.
+    """
+    failures = []
+    probes, base = record["probes"], baseline.get("probes", {})
+    wall, base_wall = probes.get("figure6_wall"), base.get("figure6_wall")
+    if wall and base_wall:
+        ratio = wall["seconds"] / base_wall["seconds"]
+        record["figure6_wall_vs_baseline"] = ratio
+        if ratio > 1.0 + max_regression:
+            failures.append(
+                f"figure6 wall-clock {wall['seconds']:.2f}s is {ratio:.2f}x "
+                f"the baseline {base_wall['seconds']:.2f}s "
+                f"(limit {1.0 + max_regression:.2f}x)")
+        if wall["latency_checksum"] != base_wall["latency_checksum"]:
+            failures.append(
+                f"figure6 latency checksum {wall['latency_checksum']} != "
+                f"baseline {base_wall['latency_checksum']}: virtual times "
+                "changed")
+    rate, base_rate = probes.get("pingpong_rate"), base.get("pingpong_rate")
+    if rate and base_rate and all(rate[k] == base_rate[k]
+                                  for k in ("size", "reps")):
+        if rate["one_way_ns"] != base_rate["one_way_ns"]:
+            failures.append(
+                f"pingpong one_way_ns {rate['one_way_ns']} != baseline "
+                f"{base_rate['one_way_ns']}: virtual times changed")
+        if rate["events_executed"] > base_rate["events_executed"]:
+            failures.append(
+                f"pingpong executed {rate['events_executed']} events, "
+                f"baseline {base_rate['events_executed']}: the stack "
+                "prices the same messages with more events")
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", "-o", default=None,
@@ -139,7 +183,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="smaller probe sizes (CI smoke / pre-commit)")
     parser.add_argument("--baseline", default=None,
                         help="committed BENCH_simperf.json to merge 'before' "
-                             "numbers from and regress against")
+                             "numbers from and check against (wall-clock "
+                             "toleranced, virtual times and event count "
+                             "exact)")
     parser.add_argument("--max-regression", type=float, default=0.30,
                         help="fail if figure6 wall-clock regresses more than "
                              "this fraction vs the baseline (default 0.30)")
@@ -151,17 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.baseline:
         baseline = json.loads(Path(args.baseline).read_text())
         record["baseline_before"] = baseline.get("before")
-        base_probes = baseline.get("probes", {})
-        base_wall = base_probes.get("figure6_wall", {}).get("seconds")
-        new_wall = record["probes"].get("figure6_wall", {}).get("seconds")
-        if base_wall and new_wall:
-            ratio = new_wall / base_wall
-            record["figure6_wall_vs_baseline"] = ratio
-            if ratio > 1.0 + args.max_regression:
-                print(f"FAIL: figure6 wall-clock {new_wall:.2f}s is "
-                      f"{ratio:.2f}x the baseline {base_wall:.2f}s "
-                      f"(limit {1.0 + args.max_regression:.2f}x)")
-                status = 1
+        for failure in check_baseline(record, baseline, args.max_regression):
+            print(f"FAIL: {failure}")
+            status = 1
 
     text = json.dumps(record, indent=1, sort_keys=True)
     if args.output:

@@ -41,10 +41,10 @@ def raw_madeleine_pingpong(protocol: str, size: int, reps: int = 5,
         for _ in range(rounds):
             start = yield now()
             msg = port0.begin_packing(1)
-            yield from msg.pack(payload, size, SEND_CHEAPER, RECEIVE_CHEAPER)
+            msg.pack(payload, size, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from msg.end_packing()
             incoming = yield from port0.begin_unpacking()
-            yield from incoming.unpack(size, SEND_CHEAPER, RECEIVE_CHEAPER)
+            incoming.unpack(size, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from incoming.end_unpacking()
             end = yield now()
             roundtrips.append(end - start)
@@ -52,10 +52,10 @@ def raw_madeleine_pingpong(protocol: str, size: int, reps: int = 5,
     def ponger():
         for _ in range(rounds):
             incoming = yield from port1.begin_unpacking()
-            yield from incoming.unpack(size, SEND_CHEAPER, RECEIVE_CHEAPER)
+            incoming.unpack(size, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from incoming.end_unpacking()
             msg = port1.begin_packing(0)
-            yield from msg.pack(payload, size, SEND_CHEAPER, RECEIVE_CHEAPER)
+            msg.pack(payload, size, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from msg.end_packing()
 
     p0.runtime.spawn(pinger, name="pinger")

@@ -41,6 +41,10 @@ completion``        the closing epoch targeting it was still unapplied —
 ``registration-     Explicitly registered (pinned) memory — a window —
 leak``              still registered at MPI_Finalize, or deregistration
                     of memory that was never registered.
+``owed-time-leak``  A task that accrued CPU cost with ``CPU.owe`` and has
+                    not paid it yet scheduled an event, posted to a
+                    mailbox or set a flag: that action takes effect
+                    earlier than the separate charges would have let it.
 ==================  =====================================================
 
 The RDMA rendezvous control packets (MAD_RDMA_REQ/ACK/DATA) shadow the
@@ -57,9 +61,48 @@ imported lazily).  The wait-for-graph lives in
 
 from __future__ import annotations
 
-from typing import Any
+from functools import wraps
+from typing import Any, Callable
 
 from repro.errors import CheckViolation
+
+#: The CPU whose running task owed time last (``CPU.owe``), whichever
+#: engine it belongs to: one task executes at a time and a debt never
+#: outlives its time slice, so a single slot is exact — and
+#: ``Mailbox.post`` / ``Flag.set`` know no engine they could ask.
+_debtor: Any = None
+
+
+def _tripwire(action: str, fn: Callable) -> Callable:
+    """``fn``, reporting an ``owed-time-leak`` when a debtor calls it."""
+
+    @wraps(fn)
+    def guarded(*args: Any, **kwargs: Any) -> Any:
+        cpu = _debtor
+        if cpu is not None and cpu.owed:
+            cpu.engine.checker.owed_time_leak(cpu, action)
+        return fn(*args, **kwargs)
+
+    return guarded
+
+
+def _arm_tripwires(engine: Any) -> None:
+    """Put the actions others can observe behind :func:`_tripwire`.
+
+    Installed when a checker is, so a run without one pays nothing:
+    the engine's scheduling entry points are shadowed on the instance;
+    ``Mailbox.post`` and ``Flag.set`` have no per-engine instance to
+    shadow and are wrapped on the class, once per process.
+    """
+    for name in ("schedule", "schedule_at", "call_soon", "schedule_discard",
+                 "schedule_clock"):
+        setattr(engine, name, _tripwire(f"Engine.{name}",
+                                        getattr(engine, name)))
+    from repro.sim.sync import Flag, Mailbox
+    for cls, name in ((Mailbox, "post"), (Flag, "set")):
+        method = getattr(cls, name)
+        if not hasattr(method, "__wrapped__"):
+            setattr(cls, name, _tripwire(f"{cls.__name__}.{name}", method))
 
 
 class NullChecker:
@@ -128,6 +171,9 @@ class Checker:
         self._win_epochs: dict[tuple[int, int], int] = {}
         self._win_freed: set[tuple[int, int]] = set()
         self._rma_outstanding: dict[Any, tuple[int, int, int, int]] = {}
+        # Owed CPU time: which rank each process CPU belongs to.
+        self._cpu_ranks: dict[Any, int] = {}
+        _arm_tripwires(engine)
 
     # -- violation plumbing ------------------------------------------------
 
@@ -144,6 +190,26 @@ class Checker:
         )
         if self.raise_on_violation:
             raise violation
+
+    # -- owed CPU time (sim/cpu.py) ----------------------------------------
+
+    def register_cpu(self, cpu: Any, rank: int) -> None:
+        """``cpu`` runs the threads of ``rank`` (MadProcess creation)."""
+        self._cpu_ranks[cpu] = rank
+
+    def on_owe(self, cpu: Any) -> None:
+        """``cpu``'s running task accrued cost it has yet to pay."""
+        global _debtor
+        _debtor = cpu
+
+    def owed_time_leak(self, cpu: Any, action: str) -> None:
+        """A tripwire fired: the debtor on ``cpu`` is doing ``action``."""
+        self._violate(
+            "owed-time-leak", self._cpu_ranks.get(cpu),
+            f"{action} from task {cpu.current.name!r}, which still owes "
+            f"{cpu.owed} ns of CPU time: the action takes effect that much "
+            "too early (pay first — end_packing, end_unpacking or any "
+            "system call)")
 
     # -- non-overtaking (ADI / point2point) --------------------------------
 

@@ -23,7 +23,7 @@ from repro.madeleine.reliable import DeadChannelNotice, PendingSend
 from repro.networks.fabric import Delivery
 from repro.networks.nic import ProtocolEndpoint
 from repro.networks.params import ProtocolParams
-from repro.sim.coroutines import charge, wait
+from repro.sim.coroutines import wait
 from repro.sim.sync import Mailbox
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,6 +130,8 @@ class ChannelPort:
         self.rank = process.rank
         self.endpoint: ProtocolEndpoint = process.endpoint(channel.protocol)
         self.memory = process.memory
+        #: Where this port's pack/unpack/receive costs accrue (CPU.owe).
+        self.cpu = process.runtime.cpu
         self.params: ProtocolParams = self.endpoint.params
         self.incoming: Mailbox = Mailbox(
             name=f"chan[{channel.name}]@{process.rank}.incoming"
@@ -184,25 +186,25 @@ class ChannelPort:
             delivery = yield wait(self.incoming)
         # Raw-Madeleine usage: the application thread itself performs the
         # detection (a select() on TCP, a flag check on SCI/BIP), so the
-        # per-poll cost is charged here.  Under ch_mad the polling thread
-        # pays it instead (via its PollSource) and calls open_delivery.
+        # per-poll cost accrues here.  Under ch_mad the polling thread
+        # accrues it instead (via its PollSource) and calls open_delivery.
         if self.params.poll_cost:
-            yield charge(self.params.poll_cost)
-        message = yield from self.open_delivery(delivery)
-        return message
+            self.cpu.owe(self.params.poll_cost)
+        return self.open_delivery(delivery)
 
-    def open_delivery(self, delivery: Delivery) -> Generator:
-        """Charge receive costs for a delivery and wrap it for unpacking.
+    def open_delivery(self, delivery: Delivery) -> IncomingMessage:
+        """Accrue receive costs for a delivery and wrap it for unpacking.
 
         Used directly by polling-thread handlers which already hold the
-        delivery (they consumed the mailbox via their poll source).
+        delivery (they consumed the mailbox via their poll source).  The
+        calling thread pays in ``end_unpacking``.
         """
         wire = delivery.payload
         if not isinstance(wire, MadWireMessage):  # pragma: no cover - defensive
             raise ChannelError(f"foreign payload on channel {self.channel.name!r}")
         cost = self.endpoint.recv_cost(delivery.nbytes)
         if cost:
-            yield charge(cost)
+            self.cpu.owe(cost)
         return IncomingMessage(self, wire, delivery)
 
     def poll_source(self) -> PollSource:

@@ -4,14 +4,17 @@ These mirror the C interface of Figure 2 so that code transcribed from
 the paper reads one-to-one::
 
     connection = mad_begin_packing(channel_port, remote)
-    yield from mad_pack(connection, size_blob, 4, SEND_CHEAPER, RECEIVE_EXPRESS)
-    yield from mad_pack(connection, array, size, SEND_CHEAPER, RECEIVE_CHEAPER)
+    mad_pack(connection, size_blob, 4, SEND_CHEAPER, RECEIVE_EXPRESS)
+    mad_pack(connection, array, size, SEND_CHEAPER, RECEIVE_CHEAPER)
     yield from mad_end_packing(connection)
 
     connection = yield from mad_begin_unpacking(channel_port)
-    size_blob = yield from mad_unpack(connection, 4, SEND_CHEAPER, RECEIVE_EXPRESS)
-    array = yield from mad_unpack(connection, size, SEND_CHEAPER, RECEIVE_CHEAPER)
+    size_blob = mad_unpack(connection, 4, SEND_CHEAPER, RECEIVE_EXPRESS)
+    array = mad_unpack(connection, size, SEND_CHEAPER, RECEIVE_CHEAPER)
     yield from mad_end_unpacking(connection)
+
+``mad_pack``/``mad_unpack`` are plain calls, as in C: they accrue their
+cost, and the calling thread pays it in the matching ``mad_end_*``.
 
 The "connection" returned by begin_packing/begin_unpacking is actually the
 in-flight message object, exactly as the C API's connection handle doubles
@@ -33,9 +36,9 @@ def mad_begin_packing(port: ChannelPort, remote_rank: int) -> OutgoingMessage:
 
 
 def mad_pack(message: OutgoingMessage, data: Any, size: int,
-             send_mode: SendMode, receive_mode: ReceiveMode) -> Generator:
+             send_mode: SendMode, receive_mode: ReceiveMode) -> None:
     """Append a block to an outgoing message."""
-    yield from message.pack(data, size, send_mode, receive_mode)
+    message.pack(data, size, send_mode, receive_mode)
 
 
 def mad_end_packing(message: OutgoingMessage) -> Generator:
@@ -50,10 +53,9 @@ def mad_begin_unpacking(port: ChannelPort) -> Generator:
 
 
 def mad_unpack(message: IncomingMessage, size: int, send_mode: SendMode,
-               receive_mode: ReceiveMode) -> Generator:
-    """Extract the next block; evaluates to its data."""
-    data = yield from message.unpack(size, send_mode, receive_mode)
-    return data
+               receive_mode: ReceiveMode) -> Any:
+    """Extract the next block; returns its data."""
+    return message.unpack(size, send_mode, receive_mode)
 
 
 def mad_end_unpacking(message: IncomingMessage) -> Generator:

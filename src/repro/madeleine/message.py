@@ -3,11 +3,16 @@
 Cost model (see DESIGN.md §5):
 
 - The first block of a message is covered by the protocol's per-message
-  overheads.  Every *additional* block charges the driver's
+  overheads.  Every *additional* block costs the driver's
   ``pack_op_cost`` on the sender and ``unpack_op_cost`` on the receiver —
   this is precisely the "additional packing operation" overhead the paper
   measures for ch_mad (21 us TCP / 6.5 us SCI / 4.5 us BIP per extra
   pack+unpack pair, §5.2–5.4).
+- ``pack`` and ``unpack`` are plain calls that *accrue* their cost on the
+  calling thread's CPU (``CPU.owe``), as Madeleine's CHEAPER modes defer
+  work to ``end_packing``/``end_unpacking`` (§3.2); the thread *pays* in
+  ``end_packing`` (with the NIC's send charge) and ``end_unpacking`` —
+  before anything another thread or the network can observe.
 - ``receive_EXPRESS`` blocks are aggregated into the message's express
   segment: both sides pay a memcpy of the block (EXPRESS trades copies
   for immediacy).  ``receive_CHEAPER`` blocks ride the driver's cheapest
@@ -73,8 +78,8 @@ class OutgoingMessage:
         self._finalized = False
 
     def pack(self, data: Any, size: int, send_mode: SendMode,
-             receive_mode: ReceiveMode) -> Generator:
-        """Append one block to the message (charges pack costs)."""
+             receive_mode: ReceiveMode) -> None:
+        """Append one block to the message (accrues pack costs)."""
         if self._finalized:
             raise PackingError("pack after end_packing")
         if size < 0:
@@ -88,11 +93,14 @@ class OutgoingMessage:
         if receive_mode is ReceiveMode.EXPRESS or send_mode is SendMode.SAFER:
             cost += port.memory.copy_cost(size)
         if cost:
-            yield charge(cost)
+            port.cpu.owe(cost)
         self._blocks.append(PackedBlock(data, size, send_mode, receive_mode))
 
     def end_packing(self) -> Generator:
-        """Finalize and transmit; returns when the send completes locally."""
+        """Finalize and transmit; returns when the send completes locally.
+
+        Pays what the ``pack`` calls accrued, with the send's own charge.
+        """
         if self._finalized:
             raise PackingError("end_packing called twice")
         if not self._blocks:
@@ -127,8 +135,8 @@ class IncomingMessage:
         return self.wire.source_rank
 
     def unpack(self, size: int, send_mode: SendMode,
-               receive_mode: ReceiveMode) -> Generator:
-        """Extract the next block; evaluates to the block's data."""
+               receive_mode: ReceiveMode) -> Any:
+        """Extract the next block (accrues unpack costs); returns its data."""
         if self._finalized:
             raise PackingError("unpack after end_unpacking")
         if self._cursor >= len(self.wire.blocks):
@@ -153,12 +161,13 @@ class IncomingMessage:
         if receive_mode is ReceiveMode.EXPRESS:
             cost += self.port.memory.copy_cost(size)
         if cost:
-            yield charge(cost)
+            self.port.cpu.owe(cost)
         self._cursor += 1
         return block.data
 
     def end_unpacking(self) -> Generator:
-        """Finish extraction.  All blocks must have been consumed."""
+        """Finish extraction: all blocks must have been consumed, and the
+        thread pays here what receiving and unpacking them accrued."""
         if self._finalized:
             raise PackingError("end_unpacking called twice")
         if self._cursor != len(self.wire.blocks):
@@ -167,8 +176,7 @@ class IncomingMessage:
                 "blocks not yet unpacked"
             )
         self._finalized = True
-        return
-        yield  # pragma: no cover - makes this a generator
+        yield charge(0)  # one event for all that accrued; none if nothing did
 
     @property
     def remaining_blocks(self) -> int:

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import FailoverExhaustedError, TransportError
+from repro.sim.coroutines import charge
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.madeleine.channel import Channel, ChannelPort, Connection
@@ -163,6 +164,11 @@ class ReliableTransport:
         Generator run by the sending thread (charges the protocol send
         path, tunnelled when the channel is already dead).
         """
+        # Pay what the thread accrued while packing *before* registering:
+        # timer callbacks read ``unacked`` (failover resends it) and
+        # ``route`` reads channel health, so both must happen at the
+        # instant they always did, not a pack's worth of time earlier.
+        yield charge(0)
         pending = PendingSend(wire=wire, nbytes=wire.wire_bytes)
         conn.unacked[wire.sequence] = pending
         try:

@@ -39,6 +39,8 @@ class MadProcess:
         self.memory = memory or MemoryModel()
         self.runtime = MarcelRuntime(engine, name=self.name,
                                      switch_cost=switch_cost)
+        if engine.checker.enabled:
+            engine.checker.register_cpu(self.runtime.cpu, rank)
         #: Reliability engine; installed by the session *before* channels
         #: are opened (ChannelPorts snapshot it).  None = trusted networks.
         self.transport: ReliableTransport | None = None

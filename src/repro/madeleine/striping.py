@@ -24,7 +24,7 @@ from repro.madeleine.constants import (
     SEND_CHEAPER,
 )
 from repro.madeleine.reliable import DeadChannelNotice
-from repro.sim.coroutines import charge, wait
+from repro.sim.coroutines import wait
 from repro.sim.sync import MailboxSelect
 
 #: Per-stripe header: transfer seq + stripe index + count + payload length.
@@ -70,12 +70,10 @@ def striped_send(ports: Sequence[ChannelPort], remote_rank: int, data: Any,
         if stripe == 0 and index > 0:
             continue
         message = port.begin_packing(remote_rank)
-        yield from message.pack((transfer, index, nstripes, stripe),
-                                STRIPE_HEADER_BYTES,
-                                SEND_CHEAPER, RECEIVE_EXPRESS)
+        message.pack((transfer, index, nstripes, stripe),
+                     STRIPE_HEADER_BYTES, SEND_CHEAPER, RECEIVE_EXPRESS)
         payload = data if index == 0 else None
-        yield from message.pack(payload, stripe,
-                                SEND_CHEAPER, RECEIVE_CHEAPER)
+        message.pack(payload, stripe, SEND_CHEAPER, RECEIVE_CHEAPER)
         yield from message.end_packing()
 
 
@@ -117,15 +115,14 @@ def striped_recv(ports: Sequence[ChannelPort], size: int) -> Generator:
                 continue  # the rail died; survivors carry the rest
             port = by_mailbox[mailbox]
             # The application thread performed the detection itself (raw
-            # Madeleine usage) — charge the per-poll cost begin_unpacking
-            # would have charged.
+            # Madeleine usage) — accrue the per-poll cost begin_unpacking
+            # would have; end_unpacking pays.
             if port.params.poll_cost:
-                yield charge(port.params.poll_cost)
-            message = yield from port.open_delivery(delivery)
-            transfer, index, nstripes, stripe = yield from message.unpack(
+                port.cpu.owe(port.params.poll_cost)
+            message = port.open_delivery(delivery)
+            transfer, index, nstripes, stripe = message.unpack(
                 STRIPE_HEADER_BYTES, SEND_CHEAPER, RECEIVE_EXPRESS)
-            body = yield from message.unpack(stripe, SEND_CHEAPER,
-                                             RECEIVE_CHEAPER)
+            body = message.unpack(stripe, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from message.end_unpacking()
             key = (message.source_rank, transfer)
             if current is None and transfer == rx_next.get(

@@ -78,10 +78,12 @@ class PollingThread:
     """One persistent polling thread bound to one poll source.
 
     The handler runs *inline* in the polling thread (charging its costs on
-    the shared CPU).  Per the paper's deadlock rule, a handler must never
-    perform a blocking send itself; it spawns a temporary thread instead —
-    that discipline is the device's responsibility (see
-    :mod:`repro.mpi.devices.ch_mad.polling`).
+    the shared CPU).  In EVENT mode it is entered *owing* the item's
+    ``poll_cost`` (``CPU.owe``): its first system call pays, and it must
+    not post, set or schedule anything before that.  Per the paper's
+    deadlock rule, a handler must never perform a blocking send itself;
+    it spawns a temporary thread instead — that discipline is the
+    device's responsibility (see :mod:`repro.mpi.devices.ch_mad.polling`).
     """
 
     def __init__(self, runtime: MarcelRuntime, source: PollSource,
@@ -108,6 +110,7 @@ class PollingThread:
     def _event_body(self) -> Generator:
         mailbox = self.source.mailbox
         cost = self.source.poll_cost
+        cpu = self.runtime.cpu
         engine = self.runtime.engine
         while True:
             item = yield wait(mailbox)
@@ -118,7 +121,9 @@ class PollingThread:
                           mode="event")
                 ins.emit("poll.wake", thread=self.source.name, mode="event")
             if cost:
-                yield charge(cost)
+                # Accrued, not charged: the handler pays it with its own
+                # costs before doing anything observable (CPU.owe).
+                cpu.owe(cost)
             self.items_handled += 1
             yield from self.handler(item)
 

@@ -200,10 +200,10 @@ class ChMadDevice(Device):
                 if peer == self.world_rank or peer in self.detector.dead_ranks:
                     continue
                 try:
-                    yield charge(tuning.send_handling)
+                    port.cpu.owe(tuning.send_handling)
                     message = port.begin_packing(peer)
-                    yield from message.pack(header, CH_MAD_HEADER_BYTES,
-                                            SEND_CHEAPER, RECEIVE_EXPRESS)
+                    message.pack(header, CH_MAD_HEADER_BYTES,
+                                 SEND_CHEAPER, RECEIVE_EXPRESS)
                     yield from message.end_packing()
                 except FailoverExhaustedError:
                     self.detector.on_unreachable(peer)
@@ -357,15 +357,16 @@ class ChMadDevice(Device):
             ins.count("chmad.packets", 1, pkt=header.pkt_type.name,
                       protocol=port.channel.protocol, rank=self.world_rank,
                       dir="send")
-        yield charge(tuning.send_handling)
+        # The handling and both packs accrue; end_packing pays them with
+        # the NIC's send charge — one event per packet.
+        port.cpu.owe(tuning.send_handling)
         message = port.begin_packing(dest_world)
-        yield from message.pack(header, CH_MAD_HEADER_BYTES,
-                                SEND_CHEAPER, RECEIVE_EXPRESS)
+        message.pack(header, CH_MAD_HEADER_BYTES,
+                     SEND_CHEAPER, RECEIVE_EXPRESS)
         if body_size > 0 or (wire_body_size or 0) > 0:
-            yield from message.pack(body, wire_body_size
-                                    if wire_body_size is not None
-                                    else body_size,
-                                    SEND_CHEAPER, RECEIVE_CHEAPER)
+            message.pack(body, wire_body_size
+                         if wire_body_size is not None else body_size,
+                         SEND_CHEAPER, RECEIVE_CHEAPER)
         yield from message.end_packing()
 
     def send_wrapped(self, final_dest: int, wrapper: ForwardWrapper) -> Generator:
@@ -386,14 +387,13 @@ class ChMadDevice(Device):
                 f"{final_dest} is not directly reachable"
             )
         tuning = self.tuning[base_protocol(port.channel.protocol)]
-        yield charge(tuning.send_handling)
+        port.cpu.owe(tuning.send_handling)
         message = port.begin_packing(hop)
-        yield from message.pack(wrapper,
-                                CH_MAD_HEADER_BYTES + FWD_ROUTING_BYTES,
-                                SEND_CHEAPER, RECEIVE_EXPRESS)
+        message.pack(wrapper, CH_MAD_HEADER_BYTES + FWD_ROUTING_BYTES,
+                     SEND_CHEAPER, RECEIVE_EXPRESS)
         if wrapper.body_size > 0:
-            yield from message.pack(wrapper.body, wrapper.body_size,
-                                    SEND_CHEAPER, RECEIVE_CHEAPER)
+            message.pack(wrapper.body, wrapper.body_size,
+                         SEND_CHEAPER, RECEIVE_CHEAPER)
         yield from message.end_packing()
 
     # -- send paths ------------------------------------------------------------------

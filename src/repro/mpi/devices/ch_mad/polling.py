@@ -102,11 +102,15 @@ class ChannelPoller:
             checker.on_chmad_wire(device.world_rank,
                                   self.port.channel.protocol,
                                   delivery.payload)
-        incoming = yield from self.port.open_delivery(delivery)
-        header = yield from incoming.unpack(
+        # Everything up to end_unpacking only accrues CPU cost (the
+        # poll, the receive, both unpacks, the handling): nothing here is
+        # observable outside this thread, and it pays in end_unpacking,
+        # before dispatch_local touches a match queue.
+        incoming = self.port.open_delivery(delivery)
+        header = incoming.unpack(
             incoming.next_block_size(), SEND_CHEAPER, RECEIVE_EXPRESS
         )
-        yield charge(self.tuning.recv_handling)
+        self.port.cpu.owe(self.tuning.recv_handling)
         ins = device.progress.runtime.engine.instruments
         if ins.enabled and isinstance(header, ChMadHeader):
             ins.count("chmad.packets", 1, pkt=header.pkt_type.name,
@@ -115,7 +119,7 @@ class ChannelPoller:
         if isinstance(header, ForwardWrapper):
             body = None
             if header.body_size > 0:
-                body = yield from incoming.unpack(
+                body = incoming.unpack(
                     header.body_size, SEND_CHEAPER, RECEIVE_CHEAPER
                 )
             yield from incoming.end_unpacking()
@@ -135,7 +139,7 @@ class ChannelPoller:
         if incoming.remaining_blocks:
             # next_block_size() also absorbs the padded-short ablation,
             # where the body block is larger than the actual payload.
-            body = yield from incoming.unpack(
+            body = incoming.unpack(
                 incoming.next_block_size(), SEND_CHEAPER, RECEIVE_CHEAPER
             )
         yield from incoming.end_unpacking()

@@ -122,6 +122,27 @@ class NetworkFabric:
             self.engine.schedule_at(arrival, on_arrival, arrival)
         return arrival
 
+    def transmit_paced(self, src: Adapter, dst: Adapter, sizes: list[int],
+                       gaps: list[int], start: int,
+                       extra_latency: int = 0) -> int:
+        """Serialize chunks handed over one after another, in the past.
+
+        Chunk ``k`` of ``sizes`` was ready ``gaps[k]`` ns after chunk
+        ``k-1`` (the first, after ``start``); the last is ready now.
+        Same occupancy rule as calling :meth:`transmit_chunk` at each of
+        those instants — exact only if nothing else used ``src`` since
+        ``start``, which the caller vouches for.  Returns the last
+        chunk's arrival time.
+        """
+        self._check_route(src, dst)
+        wire_time = self.params.wire_time
+        ready, tx_free = start, src.tx_free
+        for size, gap in zip(sizes, gaps):
+            ready += gap
+            tx_free = max(ready, tx_free) + wire_time(size)
+        src.tx_free = tx_free
+        return tx_free + self.params.wire_latency + extra_latency
+
     def transmit_message(self, src: Adapter, dst: Adapter, nbytes: int,
                          payload: Any, extra_latency: int = 0) -> None:
         """Send a whole message as pipelined chunks; deliver on last arrival.

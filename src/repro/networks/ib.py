@@ -199,6 +199,29 @@ class IbEndpoint(ProtocolEndpoint):
         self.retransmits = 0
         self.crc_drops = 0
 
+    # -- channel path --------------------------------------------------------
+
+    def _send_pipelined(self, dst: ProtocolEndpoint, nbytes: int,
+                        payload: Any, overhead: int,
+                        extra_latency: int) -> Generator:
+        """One charge *per chunk*: the port is not this thread's alone.
+
+        The HCA (:meth:`_launch`, acks and read replies in
+        :meth:`hca_receive`) transmits on this adapter from engine
+        callbacks while the sending thread is between two chunks, so each
+        chunk must find ``tx_free`` as it is at its own instant.
+        """
+        p = self.params
+        yield charge(overhead)
+        sent_at = self.engine.now
+        last_arrival = sent_at
+        for size in p.chunks(nbytes):
+            yield charge(round(size * p.cpu_send_ns_per_byte))
+            last_arrival = self.fabric.transmit_chunk(
+                self.adapter, dst.adapter, size, extra_latency=extra_latency)
+        self.fabric.schedule_delivery(self.adapter, dst.adapter, nbytes,
+                                      payload, last_arrival, sent_at)
+
     # -- memory registration -------------------------------------------------
 
     def _rank(self) -> int | None:

@@ -3,9 +3,9 @@
 A :class:`ProtocolEndpoint` is what a Madeleine driver talks to.  It owns
 one adapter on one fabric and provides:
 
-- ``send_message`` — a generator run by the *sending thread*: charges the
-  modelled sender CPU costs (pipelined per chunk against the wire) and
-  hands chunks to the fabric;
+- ``send_message`` — a generator run by the *sending thread*: pays the
+  modelled sender CPU costs (pipelined per chunk against the wire, as
+  one charge) and hands chunks to the fabric;
 - ``rx_mailbox`` — where complete message deliveries land, for a Marcel
   polling thread to consume;
 - ``poll_source`` — the polling configuration for this protocol (§3.3:
@@ -66,29 +66,49 @@ class ProtocolEndpoint:
                      payload: Any) -> Generator:
         """Generator run by the sending thread.
 
-        Default path (DMA-style networks): charge the fixed per-message
-        overhead plus any sender per-byte cost pipelined chunk-by-chunk
-        against the wire, then return — the wire and delivery proceed
-        without the CPU.
+        Pays, in one charge, whatever the thread accrued on the way here
+        (ch_mad handling, ``pack`` costs — ``CPU.owe``), the fixed
+        per-message overhead and the sender per-byte cost, then hands
+        the bytes to the fabric and returns — the wire and delivery
+        proceed without the CPU.
         """
         p = self.params
         extra_send, extra_latency = self._long_message_extras(nbytes)
-        yield charge(p.send_overhead + extra_send)
+        overhead = p.send_overhead + extra_send
         if p.cpu_send_ns_per_byte > 0 and nbytes > p.chunk_size:
-            # Pipelined: CPU prepares chunk k+1 while chunk k serializes.
-            sent_at = self.engine.now
-            last_arrival = sent_at
-            for size in p.chunks(nbytes):
-                yield charge(round(size * p.cpu_send_ns_per_byte))
-                last_arrival = self.fabric.transmit_chunk(
-                    self.adapter, dst.adapter, size, extra_latency=extra_latency
-                )
-            self.fabric.schedule_delivery(self.adapter, dst.adapter, nbytes,
-                                          payload, last_arrival, sent_at)
+            yield from self._send_pipelined(dst, nbytes, payload, overhead,
+                                            extra_latency)
         else:
-            yield charge(round(nbytes * p.cpu_send_ns_per_byte))
+            yield charge(overhead + round(nbytes * p.cpu_send_ns_per_byte))
             self.fabric.transmit_message(self.adapter, dst.adapter, nbytes,
                                          payload, extra_latency=extra_latency)
+
+    def _send_pipelined(self, dst: "ProtocolEndpoint", nbytes: int,
+                        payload: Any, overhead: int,
+                        extra_latency: int) -> Generator:
+        """A message longer than one chunk: the CPU prepares chunk k+1
+        while chunk k serializes.
+
+        Chunk k enters the wire when the CPU is done with it *and* the
+        transmit port is free: ``t += cpu(k); tx_free = max(t, tx_free)
+        + wire_time(k)``.  Only this adapter's ``tx_free`` is read or
+        written, the adapter belongs to one process with one CPU, and the
+        sending thread holds that CPU from the first chunk to the last —
+        so the recurrence is private to this call and is priced in one
+        charge instead of one per chunk (:class:`IbEndpoint`, whose HCA
+        transmits on the same port without the CPU, cannot).
+        """
+        p = self.params
+        sizes = p.chunks(nbytes)
+        cpu_ns = [round(size * p.cpu_send_ns_per_byte) for size in sizes]
+        cpu_total = sum(cpu_ns)
+        yield charge(overhead + cpu_total)
+        sent_at = self.engine.now - cpu_total
+        last_arrival = self.fabric.transmit_paced(
+            self.adapter, dst.adapter, sizes, cpu_ns, sent_at,
+            extra_latency=extra_latency)
+        self.fabric.schedule_delivery(self.adapter, dst.adapter, nbytes,
+                                      payload, last_arrival, sent_at)
 
     def _long_message_extras(self, nbytes: int) -> tuple[int, int]:
         p = self.params

@@ -11,6 +11,9 @@ The lowercase helper functions exist so task code reads naturally::
         yield charge(us(2))          # burn 2 us of CPU (holds the CPU)
         item = yield wait(mailbox)   # block until a mailbox post
         yield sleep(us(10))          # release the CPU for 10 us
+
+``cpu.owe(ns)`` is a plain call, not a system call: it accrues CPU cost
+that the task pays at its next one (:meth:`repro.sim.cpu.CPU.owe`).
 """
 
 from __future__ import annotations

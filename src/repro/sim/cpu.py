@@ -248,6 +248,8 @@ class CPU:
         self._retire_hooks: list[Callable[[], None]] = []
         #: Total ns this CPU spent busy (charges + switches), diagnostic.
         self.busy_time: int = 0
+        #: ns the running task accrued with :meth:`owe` and has yet to pay.
+        self.owed: int = 0
 
     # -- public API --------------------------------------------------------
 
@@ -295,6 +297,21 @@ class CPU:
         task._queued = True
         self._ready.append(task)
         self._ensure_dispatch()
+
+    def owe(self, ns: int) -> None:
+        """Bill ``ns`` to the running task without an engine event.
+
+        It pays at its next system call — with it when that is a
+        ``Charge``, else before it, and before finishing: the time line
+        of back-to-back charges, provided nothing it does in between is
+        observable (checker invariant ``owed-time-leak``).
+        """
+        task = self.current
+        if task is None or task.state is not TaskState.RUNNING:
+            raise SimulationError(f"{self.name}.owe({ns}): no running task")
+        self.owed += ns
+        if self.engine.checker.enabled:
+            self.engine.checker.on_owe(self)
 
     def ready_count(self) -> int:
         """Live tasks waiting in the ready queue.  O(1)."""
@@ -440,20 +457,20 @@ class CPU:
                 self._ensure_dispatch()
                 return
 
-    def _resume_event(self, task: Task, value: Any) -> None:
+    def _resume_event(self, task: Task, value: Any, pending=None) -> None:
         """Engine-event entry point for resuming ``task``."""
-        self._resume(task, value)
+        self._resume(task, value, pending)
         if self.current is None:
             self._release_cpu()
 
-    def _resume(self, task: Task, value: Any) -> None:
+    def _resume(self, task: Task, value: Any, pending=None) -> None:
         """Advance ``task``'s generator, interpreting its system calls.
 
         Returns with ``self.current`` still set iff the task is charging
         (a timed ``_resume_event`` is queued); otherwise the CPU has been
         released and the *caller* is responsible for dispatching next
         (``_dispatch`` loops inline, ``_resume_event`` calls
-        ``_release_cpu``).
+        ``_release_cpu``).  ``pending``: the call the task made while owing.
         """
         if task.finished:
             # Killed mid-charge or mid-switch: kill() freed the CPU then,
@@ -466,19 +483,39 @@ class CPU:
         while True:
             task.state = running
             try:
-                syscall = send(value)
+                if pending is None:
+                    syscall = send(value)
+                elif pending.__class__ is StopIteration:
+                    raise pending
+                else:
+                    syscall, pending = pending, None
             except StopIteration as stop:
-                self.current = None
-                task._finish(result=stop.value)
-                return
+                if not self.owed:
+                    self.current = None
+                    task._finish(result=stop.value)
+                    return
+                syscall = stop
             except BaseException as exc:
                 self.current = None
+                self.owed = 0  # the debt dies with the task
                 task._finish(exception=exc)
                 # Not a tail position: the exception propagates through the
                 # engine, so any further dispatch must stay queued.
                 self._ensure_dispatch()
                 raise
             value = None
+            if self.owed:
+                # Pay first — together with a Charge (one event); any other
+                # call, or the task's end, takes effect at the later time.
+                cost, self.owed = self.owed, 0
+                if isinstance(syscall, Charge):
+                    cost, syscall = cost + syscall.duration, None
+                task.state = TaskState.CHARGING
+                self.busy_time += cost
+                task.cpu_time += cost
+                engine.schedule_discard(cost, self._resume_event, task, None,
+                                        syscall)
+                return
             cls = syscall.__class__
             if cls is Charge:
                 duration = syscall.duration

@@ -191,6 +191,36 @@ class TestSimPerfSuite:
         result = simperf.pingpong_rate(size=1024, reps=8)
         assert result["one_way_ns"] == 256816
 
+    def test_baseline_check_is_exact_about_what_the_probes_compute(
+            self, simperf):
+        """Wall-clock is toleranced; virtual times and the event count
+        are not."""
+        import copy
+
+        baseline = {"probes": {
+            "figure6_wall": {"seconds": 1.0, "latency_checksum": 77},
+            "pingpong_rate": {"size": 1024, "reps": 30, "one_way_ns": 500,
+                              "events_executed": 1600}}}
+
+        def failures(**edits):
+            record = copy.deepcopy(baseline)
+            for probe, fields in edits.items():
+                record["probes"][probe].update(fields)
+            return simperf.check_baseline(record, baseline, 0.30)
+
+        assert failures() == []
+        assert failures(figure6_wall={"seconds": 1.29}) == []
+        assert failures(pingpong_rate={"events_executed": 1500}) == []
+        assert "wall-clock" in failures(figure6_wall={"seconds": 1.31})[0]
+        assert "checksum" in failures(
+            figure6_wall={"latency_checksum": 78})[0]
+        assert "one_way_ns" in failures(pingpong_rate={"one_way_ns": 501})[0]
+        assert "more events" in failures(
+            pingpong_rate={"events_executed": 1601})[0]
+        # A --quick run (other reps, no figure) has nothing exact to say.
+        assert failures(pingpong_rate={"reps": 8, "one_way_ns": 1,
+                                       "events_executed": 9999}) == []
+
     def test_committed_baseline_parses_and_matches_schema(self, simperf):
         import json
         from pathlib import Path

@@ -26,8 +26,8 @@ from repro.marcel import PollingThread
 from repro.mpi.adi.packets import Envelope
 from repro.mpi.devices.ch_mad.device import ChMadRndvToken
 from repro.mpi.devices.ch_mad.packets import ChMadHeader, MadPktType
-from repro.sim import Engine
-from repro.sim.engine import install_checker
+from repro.sim import Engine, Mailbox
+from repro.sim.engine import EngineConfig, install_checker
 from tests.helpers import linear_cluster
 
 
@@ -138,14 +138,14 @@ def test_send_inside_polling_handler_is_flagged():
         # Echo straight from the polling thread — the paper's forbidden
         # move ("a polling thread must not proceed to any send").
         message = port1.begin_packing(0)
-        yield from message.pack(b"echo", 4, SEND_CHEAPER, RECEIVE_CHEAPER)
+        message.pack(b"echo", 4, SEND_CHEAPER, RECEIVE_CHEAPER)
         yield from message.end_packing()
 
     PollingThread(p1.runtime, port1.poll_source(), bad_handler)
 
     def sender():
         message = p0.port(channel).begin_packing(1)
-        yield from message.pack(b"ping", 4, SEND_CHEAPER, RECEIVE_CHEAPER)
+        message.pack(b"ping", 4, SEND_CHEAPER, RECEIVE_CHEAPER)
         yield from message.end_packing()
 
     p0.runtime.spawn(sender, name="sender")
@@ -155,6 +155,49 @@ def test_send_inside_polling_handler_is_flagged():
     assert violation.invariant == "polling-send"
     assert violation.rank == 1
     assert "main:1->0" in violation.connection
+
+
+# ---------------------------------------------------------------------------
+# plant: acting on a message before paying for it (owed CPU time)
+# ---------------------------------------------------------------------------
+
+def test_post_between_open_delivery_and_end_unpacking_is_flagged():
+    """open_delivery and unpack only *accrue* their cost; the thread pays
+    in end_unpacking.  A handler that tells another thread about the
+    message in between tells it a receive's worth of time too early."""
+    engine = Engine(config=EngineConfig(checker=True, checker_raise=False))
+    session = MadeleineSession(engine=engine)
+    session.add_fabric("sisci")
+    p0 = session.add_process(networks=("sisci",))
+    p1 = session.add_process(networks=("sisci",))
+    channel = session.new_channel("main", "sisci")
+    port1 = p1.port(channel)
+    seen = Mailbox(name="seen")
+
+    def leaky_handler(delivery):
+        incoming = port1.open_delivery(delivery)
+        data = incoming.unpack(4, SEND_CHEAPER, RECEIVE_CHEAPER)
+        seen.post(data)
+        yield from incoming.end_unpacking()
+
+    PollingThread(p1.runtime, port1.poll_source(), leaky_handler)
+
+    def sender():
+        message = p0.port(channel).begin_packing(1)
+        message.pack(b"ping", 4, SEND_CHEAPER, RECEIVE_CHEAPER)
+        yield from message.end_packing()
+
+    p0.runtime.spawn(sender, name="sender")
+    session.run()
+    (violation,) = engine.checker.violations  # this invariant, no other
+    assert violation.invariant == "owed-time-leak"
+    assert violation.rank == 1
+    params = port1.params
+    owed = params.poll_cost + params.recv_overhead
+    assert violation.time == engine.now - owed  # flagged at the post
+    assert "Mailbox.post" in violation.details
+    assert f"owes {owed} ns" in violation.details
+    assert len(seen) == 1
 
 
 # ---------------------------------------------------------------------------

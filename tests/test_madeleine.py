@@ -87,12 +87,12 @@ class TestBasicTransfer:
 
         def sender():
             msg = p0.port(channel).begin_packing(1)
-            yield from msg.pack(b"payload", 7, SEND_CHEAPER, RECEIVE_CHEAPER)
+            msg.pack(b"payload", 7, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from msg.end_packing()
 
         def receiver():
             msg = yield from p1.port(channel).begin_unpacking()
-            data = yield from msg.unpack(7, SEND_CHEAPER, RECEIVE_CHEAPER)
+            data = msg.unpack(7, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from msg.end_unpacking()
             received.append((data, msg.source_rank))
 
@@ -111,17 +111,17 @@ class TestBasicTransfer:
 
         def sender():
             connection = mad_begin_packing(p0.port(channel), 1)
-            yield from mad_pack(connection, len(array), 4,
+            mad_pack(connection, len(array), 4,
                                 SEND_CHEAPER, RECEIVE_EXPRESS)
-            yield from mad_pack(connection, array, len(array),
+            mad_pack(connection, array, len(array),
                                 SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from mad_end_packing(connection)
 
         def receiver():
             connection = yield from mad_begin_unpacking(p1.port(channel))
-            size = yield from mad_unpack(connection, 4,
+            size = mad_unpack(connection, 4,
                                          SEND_CHEAPER, RECEIVE_EXPRESS)
-            data = yield from mad_unpack(connection, size,
+            data = mad_unpack(connection, size,
                                          SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from mad_end_unpacking(connection)
             out.append((size, data))
@@ -140,13 +140,13 @@ class TestBasicTransfer:
         def sender():
             for i in range(5):
                 msg = p0.port(channel).begin_packing(1)
-                yield from msg.pack(i, 4, SEND_CHEAPER, RECEIVE_CHEAPER)
+                msg.pack(i, 4, SEND_CHEAPER, RECEIVE_CHEAPER)
                 yield from msg.end_packing()
 
         def receiver():
             for _ in range(5):
                 msg = yield from p1.port(channel).begin_unpacking()
-                value = yield from msg.unpack(4, SEND_CHEAPER, RECEIVE_CHEAPER)
+                value = msg.unpack(4, SEND_CHEAPER, RECEIVE_CHEAPER)
                 yield from msg.end_unpacking()
                 got.append(value)
 
@@ -165,18 +165,18 @@ class TestBasicTransfer:
         def sender():
             # TCP message first, SCI second; SCI overtakes on the wire.
             m1 = p0.port(tcp).begin_packing(1)
-            yield from m1.pack("slow", 64, SEND_CHEAPER, RECEIVE_CHEAPER)
+            m1.pack("slow", 64, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from m1.end_packing()
             m2 = p0.port(sci).begin_packing(1)
-            yield from m2.pack("fast", 64, SEND_CHEAPER, RECEIVE_CHEAPER)
+            m2.pack("fast", 64, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from m2.end_packing()
 
         def receiver():
             msg = yield from p1.port(sci).begin_unpacking()
-            got["sci"] = (yield from msg.unpack(64, SEND_CHEAPER, RECEIVE_CHEAPER)), session.engine.now
+            got["sci"] = msg.unpack(64, SEND_CHEAPER, RECEIVE_CHEAPER), session.engine.now
             yield from msg.end_unpacking()
             msg = yield from p1.port(tcp).begin_unpacking()
-            got["tcp"] = (yield from msg.unpack(64, SEND_CHEAPER, RECEIVE_CHEAPER)), session.engine.now
+            got["tcp"] = msg.unpack(64, SEND_CHEAPER, RECEIVE_CHEAPER), session.engine.now
             yield from msg.end_unpacking()
 
         p0.runtime.spawn(sender)
@@ -195,10 +195,10 @@ class TestBasicTransfer:
         def peer(process, me, other):
             def body():
                 msg = process.port(channel).begin_packing(other)
-                yield from msg.pack(f"from-{me}", 16, SEND_CHEAPER, RECEIVE_CHEAPER)
+                msg.pack(f"from-{me}", 16, SEND_CHEAPER, RECEIVE_CHEAPER)
                 yield from msg.end_packing()
                 incoming = yield from process.port(channel).begin_unpacking()
-                data = yield from incoming.unpack(16, SEND_CHEAPER, RECEIVE_CHEAPER)
+                data = incoming.unpack(16, SEND_CHEAPER, RECEIVE_CHEAPER)
                 yield from incoming.end_unpacking()
                 results[me] = data
             return body
@@ -225,7 +225,7 @@ class TestPackingRules:
 
         def sender():
             msg = sport.begin_packing(1)
-            yield from msg.pack(b"xxxx", 4, SEND_CHEAPER, RECEIVE_CHEAPER)
+            msg.pack(b"xxxx", 4, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from msg.end_packing()
 
         failures = []
@@ -233,7 +233,7 @@ class TestPackingRules:
         def receiver():
             msg = yield from rport.begin_unpacking()
             try:
-                yield from msg.unpack(8, SEND_CHEAPER, RECEIVE_CHEAPER)
+                msg.unpack(8, SEND_CHEAPER, RECEIVE_CHEAPER)
             except PackingError as exc:
                 failures.append(exc)
 
@@ -247,7 +247,7 @@ class TestPackingRules:
 
         def sender():
             msg = sport.begin_packing(1)
-            yield from msg.pack(b"x", 1, SEND_CHEAPER, RECEIVE_EXPRESS)
+            msg.pack(b"x", 1, SEND_CHEAPER, RECEIVE_EXPRESS)
             yield from msg.end_packing()
 
         failures = []
@@ -255,7 +255,7 @@ class TestPackingRules:
         def receiver():
             msg = yield from rport.begin_unpacking()
             try:
-                yield from msg.unpack(1, SEND_CHEAPER, RECEIVE_CHEAPER)
+                msg.unpack(1, SEND_CHEAPER, RECEIVE_CHEAPER)
             except PackingError as exc:
                 failures.append(exc)
 
@@ -269,15 +269,15 @@ class TestPackingRules:
 
         def sender():
             msg = sport.begin_packing(1)
-            yield from msg.pack(b"a", 1, SEND_CHEAPER, RECEIVE_CHEAPER)
-            yield from msg.pack(b"b", 1, SEND_CHEAPER, RECEIVE_CHEAPER)
+            msg.pack(b"a", 1, SEND_CHEAPER, RECEIVE_CHEAPER)
+            msg.pack(b"b", 1, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from msg.end_packing()
 
         failures = []
 
         def receiver():
             msg = yield from rport.begin_unpacking()
-            yield from msg.unpack(1, SEND_CHEAPER, RECEIVE_CHEAPER)
+            msg.unpack(1, SEND_CHEAPER, RECEIVE_CHEAPER)
             try:
                 yield from msg.end_unpacking()
             except PackingError as exc:
@@ -308,16 +308,16 @@ class TestPackingRules:
 
         def sender():
             msg = sport.begin_packing(1)
-            yield from msg.pack(b"a", 1, SEND_CHEAPER, RECEIVE_CHEAPER)
+            msg.pack(b"a", 1, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from msg.end_packing()
             try:
-                yield from msg.pack(b"b", 1, SEND_CHEAPER, RECEIVE_CHEAPER)
+                msg.pack(b"b", 1, SEND_CHEAPER, RECEIVE_CHEAPER)
             except PackingError as exc:
                 failures.append(exc)
 
         def receiver():
             msg = yield from rport.begin_unpacking()
-            yield from msg.unpack(1, SEND_CHEAPER, RECEIVE_CHEAPER)
+            msg.unpack(1, SEND_CHEAPER, RECEIVE_CHEAPER)
             yield from msg.end_unpacking()
 
         session.processes[0].runtime.spawn(sender)
@@ -326,18 +326,9 @@ class TestPackingRules:
         assert len(failures) == 1
 
     def test_pack_requires_mode_flags(self):
-        session, sport, _ = self._ports()
-        failures = []
-
-        def sender():
-            msg = sport.begin_packing(1)
-            try:
-                yield from msg.pack(b"a", 1, "cheap", RECEIVE_CHEAPER)
-            except PackingError as exc:
-                failures.append(exc)
-
-        self._run_gen(session, sender)
-        assert len(failures) == 1
+        _, sport, _ = self._ports()
+        with pytest.raises(PackingError):
+            sport.begin_packing(1).pack(b"a", 1, "cheap", RECEIVE_CHEAPER)
 
     def test_self_connection_rejected(self):
         _, sport, _ = self._ports()
@@ -362,12 +353,12 @@ class TestCosts:
 
             def sender():
                 msg = p0.port(channel).begin_packing(1)
-                yield from msg.pack(b"", n, SEND_CHEAPER, mode)
+                msg.pack(b"", n, SEND_CHEAPER, mode)
                 yield from msg.end_packing()
 
             def receiver():
                 msg = yield from p1.port(channel).begin_unpacking()
-                yield from msg.unpack(n, SEND_CHEAPER, mode)
+                msg.unpack(n, SEND_CHEAPER, mode)
                 yield from msg.end_unpacking()
 
             p0.runtime.spawn(sender)
@@ -385,12 +376,12 @@ class TestCosts:
 
             def sender():
                 msg = p0.port(channel).begin_packing(1)
-                yield from msg.pack(b"", n, mode, RECEIVE_CHEAPER)
+                msg.pack(b"", n, mode, RECEIVE_CHEAPER)
                 yield from msg.end_packing()
 
             def receiver():
                 msg = yield from p1.port(channel).begin_unpacking()
-                yield from msg.unpack(n, mode, RECEIVE_CHEAPER)
+                msg.unpack(n, mode, RECEIVE_CHEAPER)
                 yield from msg.end_unpacking()
 
             p0.runtime.spawn(sender)
@@ -409,13 +400,13 @@ class TestCosts:
             def sender():
                 msg = p0.port(channel).begin_packing(1)
                 for _ in range(nblocks):
-                    yield from msg.pack(b"x", 1, SEND_CHEAPER, RECEIVE_CHEAPER)
+                    msg.pack(b"x", 1, SEND_CHEAPER, RECEIVE_CHEAPER)
                 yield from msg.end_packing()
 
             def receiver():
                 msg = yield from p1.port(channel).begin_unpacking()
                 for _ in range(nblocks):
-                    yield from msg.unpack(1, SEND_CHEAPER, RECEIVE_CHEAPER)
+                    msg.unpack(1, SEND_CHEAPER, RECEIVE_CHEAPER)
                 yield from msg.end_unpacking()
 
             p0.runtime.spawn(sender)

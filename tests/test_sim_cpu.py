@@ -435,3 +435,174 @@ def test_retire_pools_clears_and_disables(engine, cpu):
     fresh = cpu.spawn(_noop, recyclable=True)
     assert fresh is not done
     assert not fresh.recyclable  # retired CPUs mint plain tasks only
+
+
+# -- owed time (CPU.owe) ------------------------------------------------------
+
+
+def test_owed_time_folds_into_the_next_charge_as_one_event(engine, cpu):
+    def fused():
+        cpu.owe(30)
+        cpu.owe(12)
+        yield charge(100)
+        return engine.now
+
+    def separate():
+        yield charge(30)
+        yield charge(12)
+        yield charge(100)
+        return engine.now
+
+    task = cpu.spawn(fused)
+    engine.run()
+    assert task.result == 142
+    assert (task.cpu_time, cpu.busy_time, cpu.owed) == (142, 142, 0)
+    reference = Engine()
+    ref_task = CPU(reference).spawn(separate)
+    reference.run()
+    assert ref_task.result == 142
+    assert engine.events_executed == reference.events_executed - 2
+
+
+def test_zero_charge_settles_a_debt_and_is_free_without_one(engine, cpu):
+    def body():
+        yield charge(0)
+        first = engine.now
+        cpu.owe(25)
+        yield charge(0)
+        return first, engine.now
+
+    task = cpu.spawn(body)
+    engine.run()
+    assert task.result == (0, 25)
+    assert task.cpu_time == 25
+
+
+@pytest.mark.parametrize("call", ["wait", "sleep", "yield_cpu", "now",
+                                  "clock_charge"])
+def test_owed_time_is_paid_before_any_other_system_call(engine, cpu, call):
+    """The call is interpreted at the later time, as if a charge of the
+    owed amount had preceded it."""
+    sem = Semaphore(value=1)
+    seen = {}
+
+    def other():
+        seen["other"] = engine.now
+        yield charge(1)
+
+    def body():
+        cpu.owe(40)
+        if call == "wait":
+            yield wait(sem)
+            seen["after"] = engine.now          # acquired at t=40
+        elif call == "sleep":
+            yield sleep(10)
+            seen["after"] = engine.now          # 40 + 10; other ran meanwhile
+        elif call == "yield_cpu":
+            yield yield_cpu()
+            seen["after"] = engine.now          # other ran at 40, 1 ns
+        elif call == "now":
+            seen["after"] = yield now()
+        else:
+            yield clock_charge(5)
+            seen["after"] = engine.now
+
+    task = cpu.spawn(body)
+    cpu.spawn(other)
+    engine.run()
+    # The debt was charged while holding the CPU: `other` never ran
+    # before t=40, whatever released the CPU afterwards.
+    assert seen["other"] >= 40
+    expected = {"wait": 40, "sleep": 50, "yield_cpu": 41, "now": 40,
+                "clock_charge": 45}[call]
+    assert seen["after"] == expected
+    assert task.cpu_time == (45 if call == "clock_charge" else 40)
+    assert cpu.owed == 0
+
+
+def test_owed_time_is_paid_before_the_task_finishes(engine, cpu):
+    """Joiners and done-callbacks see the task end at the later time."""
+    ended = []
+
+    def debtor():
+        yield charge(10)
+        cpu.owe(60)
+        return "done"
+
+    def joiner(task):
+        result = yield wait(task)
+        return result, engine.now
+
+    task = cpu.spawn(debtor)
+    task.add_done_callback(lambda t: ended.append(engine.now))
+    waiting = CPU(engine, name="other-cpu").spawn(joiner(task))
+    engine.run()
+    assert ended == [70]
+    assert waiting.result == ("done", 70)
+    assert (task.cpu_time, cpu.busy_time) == (70, 70)
+
+
+def test_a_failing_task_leaves_no_debt_for_the_next_holder(engine, cpu):
+    def doomed():
+        cpu.owe(500)
+        raise RuntimeError("boom")
+        yield  # pragma: no cover - makes this a generator
+
+    def survivor():
+        yield charge(7)
+        return engine.now
+
+    cpu.spawn(doomed)
+    survivor_task = cpu.spawn(survivor)
+    with pytest.raises(RuntimeError):
+        engine.run()
+    engine.run()
+    assert cpu.owed == 0
+    assert survivor_task.result == 7
+    assert survivor_task.cpu_time == 7
+
+
+def test_a_task_killed_while_paying_leaves_no_debt(engine, cpu):
+    sem = Semaphore()
+
+    def debtor():
+        cpu.owe(100)
+        yield wait(sem)  # pays first: charging until t=100
+
+    def survivor():
+        yield charge(5)
+        return engine.now
+
+    task = cpu.spawn(debtor)
+    engine.run(until=50)
+    assert task.state is TaskState.CHARGING and cpu.owed == 0
+    task.kill()
+    survivor_task = cpu.spawn(survivor)
+    engine.run()
+    assert survivor_task.result == 55
+    assert survivor_task.cpu_time == 5
+    assert sem.waiting() == 0  # the wait was never interpreted
+
+
+def test_owe_without_a_running_task_is_an_error(engine, cpu):
+    """An engine callback, or a call while the holder is mid-charge, must
+    not bill a bystander."""
+    with pytest.raises(SimulationError, match="no running task"):
+        cpu.owe(10)  # nothing on the CPU at all
+
+    def charger():
+        yield charge(100)
+
+    cpu.spawn(charger)
+    failures = []
+
+    def callback():
+        try:
+            cpu.owe(10)
+        except SimulationError as exc:
+            failures.append(exc)
+
+    engine.schedule(50, callback)  # the holder is CHARGING, not RUNNING
+    engine.run()
+    assert len(failures) == 1
+    assert (cpu.owed, cpu.busy_time) == (0, 100)
