@@ -11,15 +11,17 @@ from conftest import run_once
 
 from repro.bench.report import format_table
 from repro.cluster import MPIWorld
-from repro.mpi.algorithms import (
-    ALLREDUCE_ALGORITHMS,
-    BCAST_ALGORITHMS,
-)
+from repro.mpi import coll
 from repro.mpi.reduce_ops import SUM
 from repro.sim.coroutines import now
 from tests.helpers import linear_cluster
 
 NRANKS = 16
+
+BCAST_ALGORITHMS = {name: coll.get("bcast", name).fn
+                    for name in ("linear", "binomial")}
+ALLREDUCE_ALGORITHMS = {name: coll.get("allreduce", name).fn
+                        for name in ("reduce_bcast", "recursive_doubling")}
 
 
 def _time_collective(network, body_factory, nranks=NRANKS):

@@ -32,7 +32,7 @@ from repro.bench.sweeps import (
     TABLE_LATENCY_SIZES,
 )
 from repro.runner import JobSpec, Runner
-from repro.runner.jobs import pingpong_result
+from repro.workloads.executors import pingpong_result
 
 #: Paper Table 1 values (raw Madeleine).
 TABLE1_PAPER = {

@@ -555,15 +555,13 @@ class Checker:
                         f"(ctx={handle.context_id}) still posted at "
                         "MPI_Finalize — never failed with "
                         "MPI_ERR_PROC_FAILED")
-            for device in (env.smp_device, env.inter_device):
-                pending = getattr(device, "_pending_sends", None) or {}
-                for send_id, shandle in pending.items():
-                    if shandle.dest_world in self.dead_ranks:
-                        self._violate(
-                            "dead-rank-leak", rank,
-                            f"rendezvous send {send_id} towards dead rank "
-                            f"{shandle.dest_world} still pending at "
-                            "MPI_Finalize")
+            for send_id, shandle in progress.pending_sends.items():
+                if shandle.dest_world in self.dead_ranks:
+                    self._violate(
+                        "dead-rank-leak", rank,
+                        f"rendezvous send {send_id} towards dead rank "
+                        f"{shandle.dest_world} still pending at "
+                        "MPI_Finalize")
             for sync in progress.sync_registry.values():
                 source = getattr(sync.rhandle, "rndv_source", None)
                 if source in self.dead_ranks:
@@ -595,7 +593,7 @@ class Checker:
                     "finalize-leak", rank,
                     f"send gate ctx={context_id} dest={dest} still holds "
                     f"{gate.depth} unreleased ticket(s)")
-        pending = getattr(env.inter_device, "_pending_sends", None)
+        pending = progress.pending_sends
         if pending:
             self._violate("finalize-leak", rank,
                           f"{len(pending)} rendezvous send(s) never "

@@ -22,7 +22,7 @@ All draws come from :meth:`Engine.rng` namespaces under
     python -m repro fuzz --workload mixed --seed 17
 
 The sweep harness (:func:`run_sweep`) runs the
-:mod:`repro.check.workloads` programs across many fuzz seeds with the
+:mod:`repro.workloads` programs across many fuzz seeds with the
 online checker enabled, and fails a seed when a checker invariant
 trips, the run deadlocks, or the user-visible results differ from the
 other seeds' — printing the one-line repro command above.  Each

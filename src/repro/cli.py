@@ -3,8 +3,8 @@
 Subcommands:
 
 ``run``
-    Execute one job (any registered :mod:`repro.runner.jobs` kind) and
-    print its JSON payload — the smallest unit of work the batch runner
+    Execute one job (any registered :mod:`repro.workloads.executors`
+    kind) and print its JSON payload — the smallest unit of work the batch runner
     schedules, exposed for scripting and debugging.  ``--workload NAME``
     is sugar for the ``workload`` kind: it runs any workload in the
     unified registry (:mod:`repro.workloads`), micro or macro, with
@@ -15,11 +15,9 @@ Subcommands:
     render the figure; can check (or record) golden digests so CI can
     prove parallel == serial bit-for-bit.
 ``fuzz``
-    The schedule-fuzz sweep (previously ``python -m repro.check.fuzz``;
-    same flags and output, plus ``--workers``/``--cache``).
+    The schedule-fuzz sweep.
 ``report``
-    Reproduce the paper's tables and figures (previously
-    ``examples/reproduce_paper.py``).
+    Reproduce the paper's tables and figures.
 
 Every subcommand shares ``--workers N`` (process fan-out) and
 ``--cache DIR`` (content-addressed result cache; ``REPRO_CACHE_DIR``
@@ -90,7 +88,7 @@ def _parse_param(text: str):
 
 def cmd_run(args) -> int:
     import repro.workloads as workloads
-    from repro.runner.jobs import EXECUTORS
+    from repro.workloads.executors import EXECUTORS
 
     if args.list:
         print("job kinds:")
@@ -250,7 +248,7 @@ def cmd_fuzz(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# report (the old examples/reproduce_paper.py)
+# report
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:

@@ -6,6 +6,13 @@ same posted/unexpected queues, which is what makes ``MPI_ANY_SOURCE``
 receives work across devices (§2.3: the ADI data structures are
 "multi-device-ready"; our single progress engine realizes that).
 
+The rendezvous *protocol* lives here too, once (§1: "short/eager/
+rendezvous protocols" belong to the ADI, devices only move packets):
+:meth:`Device.send_rndv` is the sender's state machine, the
+``deliver_rndv_*`` methods are the receiver's, and one per-process
+``pending_sends`` table holds every send awaiting its acknowledgement,
+whichever device carries it.
+
 Deadlock rule (§4.2.3): a *polling thread* must never block in a send.
 ``deliver_rndv_request`` therefore spawns a temporary Marcel thread to
 emit the acknowledgement when the matching receive was already posted;
@@ -20,8 +27,8 @@ from typing import Any, Generator, TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import MPIError
-from repro.mpi.adi.packets import Envelope
+from repro.errors import MPIError, MPIProcFailedError
+from repro.mpi.adi.packets import Envelope, RndvToken
 from repro.mpi.adi.queues import (
     PostedQueue,
     UnexpectedEntry,
@@ -31,7 +38,7 @@ from repro.mpi.adi.queues import (
 from repro.mpi.adi.rhandle import RecvHandle, RndvSync, SendHandle
 from repro.mpi.request import RecvRequest
 from repro.mpi.status import Status
-from repro.sim.coroutines import charge
+from repro.sim.coroutines import charge, wait
 from repro.sim.ring import Ring
 from repro.sim.sync import Condition
 
@@ -86,8 +93,9 @@ class ProgressEngine:
         self._pools_retired = False
         self.runtime.cpu.on_retire_pools(self._retire_pools)
         # NOTE: posted / unexpected / send_gates / sync_registry /
-        # arrivals / _recv_pool are *lazy* — see __getattr__ below.  A
-        # quiescent member of a 1024-rank world never materializes them.
+        # pending_sends / arrivals / _recv_pool are *lazy* — see
+        # __getattr__ below.  A quiescent member of a 1024-rank world
+        # never materializes them.
 
     def __getattr__(self, name: str) -> Any:
         """Materialize per-rank receive-side state on first touch.
@@ -108,6 +116,10 @@ class ProgressEngine:
             value = {}
         elif name == "sync_registry":
             #: sync_id -> RndvSync, the MPID_RNDV_T "address book".
+            value = {}
+        elif name == "pending_sends":
+            #: send_id -> SendHandle awaiting its rendezvous ack, on any
+            #: device (read by the FT sweep and the finalize audit).
             value = {}
         elif name == "arrivals":
             #: Broadcast on every arrival; blocking probes wait here.
@@ -229,11 +241,11 @@ class ProgressEngine:
                                                 data=data))
         self.arrivals.notify_all()
 
-    def deliver_rndv_request(self, envelope: Envelope, token: Any,
-                             device: "Device") -> Generator:
+    def deliver_rndv_request(self, envelope: Envelope,
+                             token: RndvToken) -> Generator:
         """A rendezvous request arrived (MAD_REQUEST_PKT path)."""
         if self.ft is not None and self.ft.should_discard(envelope):
-            self.ft.note_discard(envelope, send_id=getattr(token, "send_id", 0))
+            self.ft.note_discard(envelope, send_id=token.send_id)
             return
         handle = self.posted.match(envelope)
         if handle is not None:
@@ -245,8 +257,8 @@ class ProgressEngine:
             sync = self.register_sync(handle)
             # Polling threads must not send: spawn the ack thread (§4.2.3).
             self.runtime.spawn_temporary(
-                device.send_rndv_ack(token, sync.sync_id), name="rndv-ack"
-            )
+                token.device.send_rndv_ack(token, sync.sync_id),
+                name="rndv-ack")
         else:
             self.unexpected.add(UnexpectedEntry(envelope,
                                                 UnexpectedKind.RNDV_REQUEST,
@@ -254,6 +266,22 @@ class ProgressEngine:
         self.arrivals.notify_all()
         return
         yield  # pragma: no cover - generator marker
+
+    def deliver_rndv_ack(self, send_id: int, sync_id: int) -> None:
+        """The acknowledgement arrived: release the waiting sender with
+        the receiver's sync address."""
+        shandle = self.pending_sends.pop(send_id, None)
+        if shandle is None:
+            if self.ft is not None:
+                # FT already failed this send (its peer was declared
+                # dead, or the comm revoked) — the straggler ack from a
+                # rank that was merely slow is expected, not fatal.
+                ins = self.runtime.engine.instruments
+                if ins.enabled:
+                    ins.count("ft.stale_acks", 1, rank=self.process.rank)
+                return
+            raise MPIError(f"rendezvous ack for unknown send id {send_id}")
+        shandle.ack_flag.set(sync_id)
 
     def deliver_rndv_data(self, sync_id: int, envelope: Envelope,
                           data: Any) -> Generator:
@@ -308,16 +336,20 @@ class ProgressEngine:
 class Device:
     """Abstract device (an MPID_Device).
 
-    Concrete devices implement the three send-side entry points as
-    generators run in the *sending process*:
+    The ADI runs the protocols; a device only prices and emits packets.
+    Concrete devices implement, as generators:
 
     - :meth:`send_eager` — transmit envelope+data; returns at local
       completion (data is out of the user's hands);
-    - :meth:`send_rndv` — run the full rendezvous from the sender side:
-      emit the request, block until the acknowledgement delivers the
-      remote sync id, transmit the data packet;
+    - :meth:`rndv_request` — emit the rendezvous request for
+      ``shandle`` (and choose the data phase, if the device has more
+      than one: ``shandle.phase``);
+    - :meth:`rndv_data` — move the body to the receiver's ``sync_id``;
     - :meth:`send_rndv_ack` — receiver side: emit OK_TO_SEND for a
       pending request ``token`` carrying our ``sync_id``.
+
+    On arrival of an acknowledgement the device calls
+    ``progress.deliver_rndv_ack(send_id, sync_id)``.
 
     ``eager_threshold`` is the single integer the ADI reserves for the
     transfer-mode switch point (§4.2.2).
@@ -325,6 +357,7 @@ class Device:
 
     name = "device"
     eager_threshold: int = 0
+    progress: ProgressEngine
 
     def threshold(self, dest_world: int) -> int:
         """Eager/rendezvous switch point towards ``dest_world``.
@@ -340,9 +373,39 @@ class Device:
         raise NotImplementedError  # pragma: no cover
 
     def send_rndv(self, dest_world: int, shandle: SendHandle) -> Generator:
+        """Rendezvous, sender side (§4.2.2): request, await the ack
+        carrying the receiver's sync address, send the data.  Runs in the
+        sending process; the same for every device."""
+        pending = self.progress.pending_sends
+        pending[shandle.send_id] = shandle
+        yield from self.rndv_request(dest_world, shandle)
+        shandle.notify_request_sent()  # match slot secured: release ordering
+        # Wait-for-graph metadata: this wait depends on the receiver rank.
+        ack = shandle.ack_flag
+        ack.rank_dep = dest_world
+        ack.dep_describe = (f"rendezvous ack from rank {dest_world} "
+                            f"(send_id={shandle.send_id})")
+        sync_id = yield wait(ack)
+        if sync_id is None:
+            # The FT layer failed this send (peer death / revoke) and
+            # released the ack flag with no sync address.  Surface the
+            # structured error instead of transmitting into the void.
+            pending.pop(shandle.send_id, None)
+            raise shandle.error or MPIProcFailedError(
+                f"rendezvous to rank {dest_world} aborted: peer failed",
+                failed_rank=dest_world,
+            )
+        yield from self.rndv_data(dest_world, shandle, sync_id)
+        shandle.flag.set()
+
+    def rndv_request(self, dest_world: int, shandle: SendHandle) -> Generator:
         raise NotImplementedError  # pragma: no cover
 
-    def send_rndv_ack(self, token: Any, sync_id: int) -> Generator:
+    def rndv_data(self, dest_world: int, shandle: SendHandle,
+                  sync_id: int) -> Generator:
+        raise NotImplementedError  # pragma: no cover
+
+    def send_rndv_ack(self, token: RndvToken, sync_id: int) -> Generator:
         raise NotImplementedError  # pragma: no cover
 
     def shutdown(self) -> None:

@@ -10,6 +10,7 @@ wire footprints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 
@@ -37,6 +38,23 @@ class Envelope:
         if tag_pattern != ANY_TAG and tag_pattern != self.tag:
             return False
         return True
+
+
+@dataclass(frozen=True)
+class RndvToken:
+    """A rendezvous request as the receiving process remembers it: whom
+    to acknowledge, through which device.
+
+    ``phase`` is opaque to the ADI: the device puts there whatever its
+    ``send_rndv_ack`` needs to prepare for the data phase the sender
+    chose (ch_mad: the envelope of a body that will arrive by RDMA
+    write; ``None`` everywhere else).
+    """
+
+    device: Any
+    requester_world: int
+    send_id: int
+    phase: Any = None
 
 
 #: Modelled sizes (bytes) of the ADI packet structures that ride inside

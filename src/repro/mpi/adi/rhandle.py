@@ -93,11 +93,10 @@ class SendHandle:
 
     The sender blocks on :attr:`ack_flag` until the receiver's
     OK_TO_SEND arrives carrying the remote ``sync_id``; :attr:`flag`
-    signals full local completion.  Devices call
-    :meth:`notify_request_sent` right after the rendezvous *request* is
-    out: at that point the message's matching slot at the receiver is
-    secured, and the sender's ordering gate may admit the next send
-    (MPI non-overtaking).
+    signals full local completion.  :meth:`notify_request_sent` runs
+    right after the rendezvous *request* is out: at that point the
+    message's matching slot at the receiver is secured, and the sender's
+    ordering gate may admit the next send (MPI non-overtaking).
     """
 
     _ids = itertools.count(1)
@@ -109,9 +108,12 @@ class SendHandle:
         self.ack_flag = Flag(name="shandle-ack")
         self.flag = Flag(name="shandle-done")
         self.on_request_sent = None
-        #: World rank this rendezvous targets (set by the device) — how
-        #: the FT layer finds in-flight sends towards a dead peer.
+        #: World rank this rendezvous targets — how the FT layer finds
+        #: in-flight sends towards a dead peer.
         self.dest_world: int | None = None
+        #: The device's data-phase choice, made in ``rndv_request`` and
+        #: read back by ``rndv_data`` (opaque to the ADI).
+        self.phase: Any = None
         #: Structured failure installed by the FT layer before it
         #: releases :attr:`ack_flag` with ``None`` (peer death / revoke).
         self.error: Exception | None = None

@@ -8,8 +8,12 @@ Responsibilities:
 - eager mode: one Madeleine message of header (EXPRESS) + body
   (CHEAPER) — the §4.2.2 split of the ADI short packet that avoids
   shipping a padded MPID_PKT_MAX_DATA_SIZE buffer;
-- rendezvous mode: MAD_REQUEST_PKT → MAD_SENDOK_PKT (carrying the
-  receiver's MPID_RNDV_T sync address) → MAD_RNDV_PKT zero-copy data;
+- rendezvous mode: the three packet primitives of the ADI's handshake
+  (:meth:`repro.mpi.adi.device.Device.send_rndv`) — MAD_REQUEST_PKT,
+  MAD_SENDOK_PKT (carrying the receiver's MPID_RNDV_T sync address),
+  and a data phase chosen once per request: one MAD_RNDV_PKT zero-copy
+  message, or on an IB channel one RDMA write (Liu et al.), in which
+  case the same request and ack travel under their MAD_RDMA_* names;
 - one polling thread per channel (§4.2.3);
 - the single elected eager/rendezvous threshold (§4.2.2), with an
   opt-in per-network mode used by the ablation benchmarks;
@@ -21,21 +25,17 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from dataclasses import dataclass
-
 from repro.errors import (
     ChannelDeadError,
     ConfigurationError,
     FailoverExhaustedError,
-    MPIError,
-    MPIProcFailedError,
     RouteError,
 )
 from repro.networks import base_protocol
 from repro.madeleine.channel import ChannelPort
 from repro.madeleine.constants import RECEIVE_CHEAPER, RECEIVE_EXPRESS, SEND_CHEAPER
 from repro.mpi.adi.device import Device, ProgressEngine
-from repro.mpi.adi.packets import Envelope
+from repro.mpi.adi.packets import Envelope, RndvToken
 from repro.mpi.adi.rhandle import SendHandle
 from repro.mpi.devices.ch_mad.forwarding import ForwardWrapper
 from repro.mpi.devices.ch_mad.packets import (
@@ -52,24 +52,7 @@ from repro.mpi.devices.ch_mad.switchpoints import (
     ChMadTuning,
     elect_threshold,
 )
-from repro.sim.coroutines import charge, sleep, wait
-
-
-@dataclass(frozen=True)
-class ChMadRndvToken:
-    """Identity of a pending rendezvous request (who to acknowledge).
-
-    ``rdma`` marks a rendezvous whose body will arrive as one RDMA write
-    instead of a MAD_RNDV_PKT: the ack path must pre-register the receive
-    buffer (``envelope`` carries its size) and answer with
-    MAD_RDMA_ACK_PKT so the sender knows the write may go.
-    """
-
-    device: "ChMadDevice"
-    requester_world: int
-    send_id: int
-    rdma: bool = False
-    envelope: Envelope | None = None
+from repro.sim.coroutines import charge, sleep
 
 
 class ChMadDevice(Device):
@@ -109,18 +92,15 @@ class ChMadDevice(Device):
         #: Next-hop table for destinations with no shared network
         #: (forwarding extension; empty = paper's §6 limitation applies).
         self.forward_routes = dict(forward_routes or {})
-        #: Rendezvous-over-RDMA on IB channels (off = packetized ablation:
+        #: RDMA data phase on IB channels (off = packetized ablation:
         #: large messages take the MAD_RNDV_PKT path even on IB).
         self.rdma_rendezvous = rdma_rendezvous
-        self._pending_sends: dict[int, SendHandle] = {}
         self._pollers: list = []
         self.term_received = 0
         self.packets_relayed = 0
         self.heartbeats_received = 0
         #: Session failure detector; set by :meth:`start_heartbeats` when
-        #: the run is fault-tolerant.  When present, stale rendezvous
-        #: acks (whose pending send the FT layer already failed) are
-        #: tolerated instead of fatal.
+        #: the run is fault-tolerant.
         self.detector = None
         #: context id -> lane index, installed by the multi-lane
         #: collectives (:mod:`repro.mpi.coll.multilane`).  Traffic on an
@@ -195,16 +175,12 @@ class ChMadDevice(Device):
             port = self.ports[name]
             if port.channel.dead:
                 continue
-            tuning = self.tuning[base_protocol(port.channel.protocol)]
             for peer in sorted(port.channel.ports):
                 if peer == self.world_rank or peer in self.detector.dead_ranks:
                     continue
                 try:
-                    port.cpu.owe(tuning.send_handling)
-                    message = port.begin_packing(peer)
-                    message.pack(header, CH_MAD_HEADER_BYTES,
-                                 SEND_CHEAPER, RECEIVE_EXPRESS)
-                    yield from message.end_packing()
+                    yield from self._emit(port, peer, header,
+                                          CH_MAD_HEADER_BYTES)
                 except FailoverExhaustedError:
                     self.detector.on_unreachable(peer)
                 except (ChannelDeadError, RouteError):
@@ -274,16 +250,13 @@ class ChMadDevice(Device):
         for context_id in context_ids:
             self.context_lanes[int(context_id)] = int(lane)
 
-    def _lane_of(self, header: ChMadHeader) -> int | None:
+    def _lane_of(self, envelope: Envelope | None) -> int | None:
         """Lane of one outgoing packet, from its envelope's context.
 
         Control packets without an envelope (SENDOK, TERM) take the
         default rail — they are tiny and order-insensitive.
         """
-        if not self.context_lanes:
-            return None
-        envelope = header.envelope
-        if envelope is None:
+        if not self.context_lanes or envelope is None:
             return None
         return self.context_lanes.get(envelope.context_id)
 
@@ -325,28 +298,28 @@ class ChMadDevice(Device):
 
     # -- packet transmission core ----------------------------------------------------
 
-    def _transmit_packet(self, dest_world: int, header: ChMadHeader,
-                         body: Any, body_size: int,
-                         wire_body_size: int | None = None) -> Generator:
-        """Send one ch_mad packet, forwarding through a gateway if needed."""
-        engine = self.progress.runtime.engine
-        checker = engine.checker
-        if checker.enabled:
-            # Hooked before the forwarding branch: the checker sees each
-            # logical packet exactly once, at its origin (relays re-enter
-            # through send_wrapped, never through here).
-            checker.on_chmad_send(self.world_rank, dest_world, header)
-        port = self.direct_port(dest_world, lane=self._lane_of(header))
-        if port is None:
-            if dest_world not in self.forward_routes:
-                self.select_port(dest_world)  # raises the descriptive error
-            wrapper = ForwardWrapper(final_dest=dest_world,
-                                     origin=self.world_rank,
-                                     header=header, body=body,
-                                     body_size=body_size)
-            yield from self.send_wrapped(dest_world, wrapper)
-            return
+    def _emit(self, port: ChannelPort, hop: int, header: Any,
+              header_bytes: int, body: Any = None,
+              body_bytes: int = 0) -> Generator:
+        """One Madeleine message in the Figure-5 layout: the header
+        EXPRESS, the body (if any) CHEAPER.
+
+        The handling and both packs accrue; end_packing pays them with
+        the NIC's send charge — one event per packet.
+        """
         tuning = self.tuning[base_protocol(port.channel.protocol)]
+        port.cpu.owe(tuning.send_handling)
+        message = port.begin_packing(hop)
+        message.pack(header, header_bytes, SEND_CHEAPER, RECEIVE_EXPRESS)
+        if body_bytes > 0:
+            message.pack(body, body_bytes, SEND_CHEAPER, RECEIVE_CHEAPER)
+        yield from message.end_packing()
+
+    def _record_send(self, dest_world: int, header: ChMadHeader,
+                     port: ChannelPort, body_size: int) -> None:
+        """The ``chmad.send`` trace record and ``chmad.packets`` count of
+        one packet leaving on ``port``."""
+        engine = self.progress.runtime.engine
         engine.tracer.emit(
             "chmad.send", src=self.world_rank, dst=dest_world,
             pkt=header.pkt_type.name, protocol=port.channel.protocol,
@@ -357,17 +330,32 @@ class ChMadDevice(Device):
             ins.count("chmad.packets", 1, pkt=header.pkt_type.name,
                       protocol=port.channel.protocol, rank=self.world_rank,
                       dir="send")
-        # The handling and both packs accrue; end_packing pays them with
-        # the NIC's send charge — one event per packet.
-        port.cpu.owe(tuning.send_handling)
-        message = port.begin_packing(dest_world)
-        message.pack(header, CH_MAD_HEADER_BYTES,
-                     SEND_CHEAPER, RECEIVE_EXPRESS)
-        if body_size > 0 or (wire_body_size or 0) > 0:
-            message.pack(body, wire_body_size
-                         if wire_body_size is not None else body_size,
-                         SEND_CHEAPER, RECEIVE_CHEAPER)
-        yield from message.end_packing()
+
+    def _transmit_packet(self, dest_world: int, header: ChMadHeader,
+                         body: Any, body_size: int,
+                         wire_body_size: int | None = None) -> Generator:
+        """Send one ch_mad packet, forwarding through a gateway if needed."""
+        checker = self.progress.runtime.engine.checker
+        if checker.enabled:
+            # Hooked before the forwarding branch: the checker sees each
+            # logical packet exactly once, at its origin (relays re-enter
+            # through send_wrapped, never through here).
+            checker.on_chmad_send(self.world_rank, dest_world, header)
+        port = self.direct_port(dest_world,
+                                lane=self._lane_of(header.envelope))
+        if port is None:
+            if dest_world not in self.forward_routes:
+                self.select_port(dest_world)  # raises the descriptive error
+            wrapper = ForwardWrapper(final_dest=dest_world,
+                                     origin=self.world_rank,
+                                     header=header, body=body,
+                                     body_size=body_size)
+            yield from self.send_wrapped(dest_world, wrapper)
+            return
+        self._record_send(dest_world, header, port, body_size)
+        yield from self._emit(
+            port, dest_world, header, CH_MAD_HEADER_BYTES, body,
+            body_size if wire_body_size is None else wire_body_size)
 
     def send_wrapped(self, final_dest: int, wrapper: ForwardWrapper) -> Generator:
         """Transmit a forwarded packet to the next hop towards its dest."""
@@ -386,15 +374,9 @@ class ChMadDevice(Device):
                 f"rank {self.world_rank}: next hop {hop} for rank "
                 f"{final_dest} is not directly reachable"
             )
-        tuning = self.tuning[base_protocol(port.channel.protocol)]
-        port.cpu.owe(tuning.send_handling)
-        message = port.begin_packing(hop)
-        message.pack(wrapper, CH_MAD_HEADER_BYTES + FWD_ROUTING_BYTES,
-                     SEND_CHEAPER, RECEIVE_EXPRESS)
-        if wrapper.body_size > 0:
-            message.pack(wrapper.body, wrapper.body_size,
-                         SEND_CHEAPER, RECEIVE_CHEAPER)
-        yield from message.end_packing()
+        yield from self._emit(port, hop, wrapper,
+                              CH_MAD_HEADER_BYTES + FWD_ROUTING_BYTES,
+                              wrapper.body, wrapper.body_size)
 
     # -- send paths ------------------------------------------------------------------
 
@@ -411,146 +393,90 @@ class ChMadDevice(Device):
                                          envelope.size,
                                          wire_body_size=wire_size)
 
-    def send_rndv(self, dest_world: int, shandle: SendHandle) -> Generator:
-        """Rendezvous, sender side: request, await ack, send data (§4.2.2)."""
+    def rndv_request(self, dest_world: int, shandle: SendHandle) -> Generator:
+        """MAD_REQUEST_PKT — and the choice of data phase.
+
+        Towards an IB channel the body will go as **one RDMA write**
+        (Liu et al.): ``shandle.phase`` keeps the port, the send buffer
+        is pre-registered (amortized by the registration cache) and the
+        request travels as MAD_RDMA_REQ_PKT so the receiver registers
+        its side before acknowledging.  Otherwise the phase is ``None``:
+        one MAD_RNDV_PKT message.
+        """
+        envelope = shandle.envelope
+        kind = MadPktType.MAD_REQUEST_PKT
         if self.rdma_rendezvous:
-            port = self.direct_port(dest_world,
-                                    lane=self._lane_of(
-                                        ChMadHeader(MadPktType.MAD_REQUEST_PKT,
-                                                    envelope=shandle.envelope)))
+            port = self.direct_port(dest_world, lane=self._lane_of(envelope))
             if port is not None and \
                     base_protocol(port.channel.protocol) == "ib" and \
                     hasattr(port.endpoint, "rdma_write"):
-                yield from self._send_rndv_rdma(dest_world, shandle, port)
-                return
-        shandle.dest_world = dest_world
-        self._pending_sends[shandle.send_id] = shandle
+                shandle.phase = port
+                kind = MadPktType.MAD_RDMA_REQ_PKT
+                yield from port.endpoint.register(
+                    ("rndv-send", envelope.context_id, dest_world,
+                     envelope.tag, envelope.size),
+                    envelope.size,
+                )
         yield from self._transmit_packet(
             dest_world,
-            ChMadHeader(MadPktType.MAD_REQUEST_PKT, envelope=shandle.envelope,
-                        send_id=shandle.send_id),
+            ChMadHeader(kind, envelope=envelope, send_id=shandle.send_id),
             None, 0,
         )
-        shandle.notify_request_sent()  # match slot secured: release ordering
-        # Step 2: the receiver replies with the sync structure's address.
-        # Wait-for-graph metadata: this wait depends on the receiver rank.
-        shandle.ack_flag.rank_dep = dest_world
-        shandle.ack_flag.dep_describe = (
-            f"rendezvous SENDOK from rank {dest_world} "
-            f"(send_id={shandle.send_id})")
-        sync_id = yield wait(shandle.ack_flag)
-        if sync_id is None:
-            # The FT layer failed this send (peer death / revoke) and
-            # released the ack flag with no sync address.  Surface the
-            # structured error instead of transmitting into the void.
-            self._pending_sends.pop(shandle.send_id, None)
-            raise shandle.error or MPIProcFailedError(
-                f"rendezvous to rank {dest_world} aborted: peer failed",
-                failed_rank=dest_world,
-            )
-        # Step 3: data destination is known — zero-copy transfer.
+
+    def rndv_data(self, dest_world: int, shandle: SendHandle,
+                  sync_id: int) -> Generator:
+        """The data destination is known — zero-copy transfer."""
+        envelope = shandle.envelope
+        port = shandle.phase
+        if port is not None:
+            # No MAD_RNDV_PKT, no pack/unpack, no per-byte CPU on either
+            # side; the write itself is the receiver's notification (via
+            # its HCA completion queue), under a synthetic header.
+            header = ChMadHeader(MadPktType.MAD_RDMA_DATA_PKT,
+                                 envelope=envelope, sync_id=sync_id)
+            checker = self.progress.runtime.engine.checker
+            if checker.enabled:
+                checker.on_chmad_send(self.world_rank, dest_world, header)
+            self._record_send(dest_world, header, port, envelope.size)
+            remote = port.channel.port(dest_world).endpoint
+            yield from port.endpoint.rdma_write(remote, header, envelope,
+                                                sync_id, shandle.data,
+                                                envelope.size)
+            return
         protocol = self._protocol_towards(dest_world)
         tuning = self.tuning[base_protocol(protocol)]
         if tuning.rndv_body_ns_per_byte:
             # Driver-side per-byte feeding cost (BIP credit machinery).
-            yield charge(round(shandle.envelope.size
-                               * tuning.rndv_body_ns_per_byte))
+            yield charge(round(envelope.size * tuning.rndv_body_ns_per_byte))
         yield from self._transmit_packet(
             dest_world,
-            ChMadHeader(MadPktType.MAD_RNDV_PKT, envelope=shandle.envelope,
+            ChMadHeader(MadPktType.MAD_RNDV_PKT, envelope=envelope,
                         sync_id=sync_id),
-            shandle.data, shandle.envelope.size,
+            shandle.data, envelope.size,
         )
-        shandle.flag.set()
 
-    def _send_rndv_rdma(self, dest_world: int, shandle: SendHandle,
-                        port: ChannelPort) -> Generator:
-        """Rendezvous over RDMA (Liu et al.): zero-copy body, no packets.
-
-        Control flow mirrors :meth:`send_rndv` — request, await ack —
-        but the request pre-registers the send buffer (amortized by the
-        registration cache), the ack certifies the receive buffer is
-        registered, and the body goes as **one RDMA write** straight
-        into it: no MAD_RNDV_PKT, no pack/unpack, no per-byte CPU on
-        either side.  Completion is piggybacked: the write itself is the
-        receiver's notification (via its HCA completion queue).
-        """
-        engine = self.progress.runtime.engine
-        envelope = shandle.envelope
-        shandle.dest_world = dest_world
-        self._pending_sends[shandle.send_id] = shandle
-        endpoint = port.endpoint
-        yield from endpoint.register(
-            ("rndv-send", envelope.context_id, dest_world, envelope.tag,
-             envelope.size),
-            envelope.size,
-        )
-        yield from self._transmit_packet(
-            dest_world,
-            ChMadHeader(MadPktType.MAD_RDMA_REQ_PKT, envelope=envelope,
-                        send_id=shandle.send_id),
-            None, 0,
-        )
-        shandle.notify_request_sent()
-        shandle.ack_flag.rank_dep = dest_world
-        shandle.ack_flag.dep_describe = (
-            f"RDMA rendezvous ack from rank {dest_world} "
-            f"(send_id={shandle.send_id})")
-        sync_id = yield wait(shandle.ack_flag)
-        if sync_id is None:
-            self._pending_sends.pop(shandle.send_id, None)
-            raise shandle.error or MPIProcFailedError(
-                f"rendezvous to rank {dest_world} aborted: peer failed",
-                failed_rank=dest_world,
-            )
-        header = ChMadHeader(MadPktType.MAD_RDMA_DATA_PKT, envelope=envelope,
-                             sync_id=sync_id)
-        checker = engine.checker
-        if checker.enabled:
-            checker.on_chmad_send(self.world_rank, dest_world, header)
-        engine.tracer.emit(
-            "chmad.send", src=self.world_rank, dst=dest_world,
-            pkt=header.pkt_type.name, protocol=port.channel.protocol,
-            body=envelope.size,
-        )
-        ins = engine.instruments
-        if ins.enabled:
-            ins.count("chmad.packets", 1, pkt=header.pkt_type.name,
-                      protocol=port.channel.protocol, rank=self.world_rank,
-                      dir="send")
-        remote = port.channel.port(dest_world).endpoint
-        yield from endpoint.rdma_write(remote, header, envelope, sync_id,
-                                       shandle.data, envelope.size)
-        shandle.flag.set()
-
-    def send_rndv_ack(self, token: ChMadRndvToken, sync_id: int) -> Generator:
+    def send_rndv_ack(self, token: RndvToken, sync_id: int) -> Generator:
         """Rendezvous, receiver side: MAD_SENDOK_PKT with our sync id.
 
-        For an RDMA rendezvous the receive buffer must be registered
+        ``token.phase`` is the request's envelope when the body will
+        arrive by RDMA write: the receive buffer must be registered
         *before* the ack goes out — the ack is the sender's licence to
         write — and the ack travels as MAD_RDMA_ACK_PKT.
         """
-        if token.rdma:
+        envelope = token.phase
+        kind = MadPktType.MAD_SENDOK_PKT
+        if envelope is not None:
+            kind = MadPktType.MAD_RDMA_ACK_PKT
             port = self.direct_port(token.requester_world)
-            if port is not None and hasattr(port.endpoint, "register") and \
-                    token.envelope is not None:
+            if port is not None and hasattr(port.endpoint, "register"):
                 yield from port.endpoint.register(
-                    ("rndv-recv", token.envelope.context_id,
-                     token.requester_world, token.envelope.tag,
-                     token.envelope.size),
-                    token.envelope.size,
+                    ("rndv-recv", envelope.context_id,
+                     token.requester_world, envelope.tag, envelope.size),
+                    envelope.size,
                 )
-            yield from self._transmit_packet(
-                token.requester_world,
-                ChMadHeader(MadPktType.MAD_RDMA_ACK_PKT,
-                            send_id=token.send_id, sync_id=sync_id),
-                None, 0,
-            )
-            return
         yield from self._transmit_packet(
             token.requester_world,
-            ChMadHeader(MadPktType.MAD_SENDOK_PKT, send_id=token.send_id,
-                        sync_id=sync_id),
+            ChMadHeader(kind, send_id=token.send_id, sync_id=sync_id),
             None, 0,
         )
 
@@ -570,19 +496,3 @@ class ChMadDevice(Device):
             if hop_port is not None:
                 return hop_port.channel.protocol
         raise RouteError(f"no path towards rank {dest_world}")
-
-    # -- polling-thread callbacks -------------------------------------------------------
-
-    def _complete_ack(self, send_id: int, sync_id: int) -> None:
-        shandle = self._pending_sends.pop(send_id, None)
-        if shandle is None:
-            if self.detector is not None:
-                # FT already failed this send (its peer was declared
-                # dead, or the comm revoked) — the straggler SENDOK from
-                # a rank that was merely slow is expected, not fatal.
-                ins = self.progress.runtime.engine.instruments
-                if ins.enabled:
-                    ins.count("ft.stale_acks", 1, rank=self.world_rank)
-                return
-            raise MPIError(f"MAD_SENDOK_PKT for unknown send id {send_id}")
-        shandle.ack_flag.set(sync_id)

@@ -1,8 +1,10 @@
 """ch_mad polling-thread machinery (paper §4.2.3).
 
 One Marcel thread polls each Madeleine channel.  The handler below runs
-*inside* the polling thread; it unpacks the EXPRESS header, dispatches on
-the packet type, and — critically — never performs a send itself: when a
+*inside* the polling thread; it unpacks the EXPRESS header, hands the
+packet to the ADI's progress engine by type (the rendezvous handshake's
+request, ack and data each have one branch, whatever data phase the
+sender chose), and — critically — never performs a send itself: when a
 rendezvous request matches an already-posted receive, the progress engine
 spawns a temporary thread for the acknowledgement, and when a forwarded
 packet must be relayed onwards, a temporary thread performs the relay
@@ -19,6 +21,7 @@ from repro.madeleine.channel import ChannelPort
 from repro.madeleine.reliable import DeadChannelNotice
 from repro.madeleine.constants import RECEIVE_CHEAPER, RECEIVE_EXPRESS, SEND_CHEAPER
 from repro.marcel.polling import PollingThread
+from repro.mpi.adi.packets import RndvToken
 from repro.mpi.devices.ch_mad.forwarding import ForwardWrapper, relay
 from repro.mpi.devices.ch_mad.packets import ChMadHeader, MadPktType
 from repro.networks.fabric import Delivery
@@ -44,23 +47,19 @@ def dispatch_local(device: "ChMadDevice", header: ChMadHeader,
     kind = header.pkt_type
     if kind is MadPktType.MAD_SHORT_PKT:
         yield from device.progress.deliver_eager(header.envelope, body)
-    elif kind is MadPktType.MAD_REQUEST_PKT:
-        from repro.mpi.devices.ch_mad.device import ChMadRndvToken
-        token = ChMadRndvToken(device, header.envelope.source, header.send_id)
-        yield from device.progress.deliver_rndv_request(header.envelope,
-                                                        token, device)
-    elif kind is MadPktType.MAD_RDMA_REQ_PKT:
-        # Same matching flow as MAD_REQUEST_PKT; the token records that
-        # the body will arrive by RDMA write, so the ack path registers
-        # the receive buffer and answers MAD_RDMA_ACK_PKT.
-        from repro.mpi.devices.ch_mad.device import ChMadRndvToken
-        token = ChMadRndvToken(device, header.envelope.source, header.send_id,
-                               rdma=True, envelope=header.envelope)
-        yield from device.progress.deliver_rndv_request(header.envelope,
-                                                        token, device)
+    elif kind is MadPktType.MAD_REQUEST_PKT or \
+            kind is MadPktType.MAD_RDMA_REQ_PKT:
+        # An RDMA request names its data phase: the ack path registers
+        # the receive buffer (sized by the envelope) and answers
+        # MAD_RDMA_ACK_PKT.
+        envelope = header.envelope
+        token = RndvToken(
+            device, envelope.source, header.send_id,
+            phase=envelope if kind is MadPktType.MAD_RDMA_REQ_PKT else None)
+        yield from device.progress.deliver_rndv_request(envelope, token)
     elif kind is MadPktType.MAD_SENDOK_PKT or \
             kind is MadPktType.MAD_RDMA_ACK_PKT:
-        device._complete_ack(header.send_id, header.sync_id)
+        device.progress.deliver_rndv_ack(header.send_id, header.sync_id)
     elif kind is MadPktType.MAD_RNDV_PKT:
         yield from device.progress.deliver_rndv_data(header.sync_id,
                                                      header.envelope, body)
@@ -149,10 +148,10 @@ class ChannelPoller:
 class RdmaCompletionPoller:
     """Polls one IB endpoint's RDMA completion queue (CQ).
 
-    An inbound rendezvous body written by a remote HCA completes here:
-    the op carries its own synthetic MAD_RDMA_DATA_PKT header (the
-    piggybacked completion record), so the handler can feed the ordinary
-    ``deliver_rndv_data`` path — same matching, same checker shadowing —
+    A rendezvous body whose data phase was an RDMA write completes
+    here: the op carries its own synthetic MAD_RDMA_DATA_PKT header (the
+    piggybacked completion record), so the handler feeds the ordinary
+    ``deliver_rndv_data`` — same matching, same checker shadowing —
     without the body ever having crossed the channel packet machinery.
     Like every poller, it never sends.
     """

@@ -28,11 +28,11 @@ from typing import Any, Generator
 from repro.errors import ConfigurationError, MPIError
 from repro.marcel.polling import PollingThread
 from repro.mpi.adi.device import Device, ProgressEngine
-from repro.mpi.adi.packets import Envelope
+from repro.mpi.adi.packets import Envelope, RndvToken
 from repro.mpi.adi.rhandle import SendHandle
 from repro.networks.fabric import Delivery, NetworkFabric
 from repro.networks.tcp import TcpEndpoint
-from repro.sim.coroutines import charge, wait
+from repro.sim.coroutines import charge
 from repro.units import us
 
 #: P4 wire header per packet (envelope, lengths, checksums).
@@ -65,13 +65,6 @@ class P4Packet:
     sync_id: int = 0
 
 
-@dataclass(frozen=True)
-class P4RndvToken:
-    device: "ChP4Device"
-    requester_world: int
-    send_id: int
-
-
 class ChP4Device(Device):
     """The TCP-only baseline device."""
 
@@ -87,7 +80,6 @@ class ChP4Device(Device):
         self.endpoint = TcpEndpoint(progress.runtime.engine, tcp_fabric,
                                     owner=self)
         self._peers: dict[int, "ChP4Device"] = {}
-        self._pending_sends: dict[int, SendHandle] = {}
         self._poll_thread: PollingThread | None = None
 
     # -- wiring -----------------------------------------------------------------
@@ -148,17 +140,17 @@ class ChP4Device(Device):
         packet = P4Packet(P4Kind.EAGER, self.world_rank, envelope, data)
         yield from self._transmit(dest_world, packet, envelope.size)
 
-    def send_rndv(self, dest_world: int, shandle: SendHandle) -> Generator:
+    def rndv_request(self, dest_world: int, shandle: SendHandle) -> Generator:
         yield charge(P4_SEND_OVERHEAD)
-        self._pending_sends[shandle.send_id] = shandle
         yield from self._transmit(
             dest_world,
             P4Packet(P4Kind.RNDV_REQUEST, self.world_rank, shandle.envelope,
                      send_id=shandle.send_id),
             0,
         )
-        shandle.notify_request_sent()
-        sync_id = yield wait(shandle.ack_flag)
+
+    def rndv_data(self, dest_world: int, shandle: SendHandle,
+                  sync_id: int) -> Generator:
         yield charge(P4_SEND_OVERHEAD)
         yield from self._transmit(
             dest_world,
@@ -166,9 +158,8 @@ class ChP4Device(Device):
                      data=shandle.data, sync_id=sync_id),
             shandle.envelope.size,
         )
-        shandle.flag.set()
 
-    def send_rndv_ack(self, token: P4RndvToken, sync_id: int) -> Generator:
+    def send_rndv_ack(self, token: RndvToken, sync_id: int) -> Generator:
         yield charge(P4_SEND_OVERHEAD)
         yield from self._transmit(
             token.requester_world,
@@ -190,14 +181,11 @@ class ChP4Device(Device):
                 copy_on_match=False, copy_on_buffer=True,
             )
         elif packet.kind is P4Kind.RNDV_REQUEST:
-            token = P4RndvToken(self, packet.source_world, packet.send_id)
+            token = RndvToken(self, packet.source_world, packet.send_id)
             yield from self.progress.deliver_rndv_request(packet.envelope,
-                                                          token, self)
+                                                          token)
         elif packet.kind is P4Kind.RNDV_ACK:
-            shandle = self._pending_sends.pop(packet.send_id, None)
-            if shandle is None:
-                raise MPIError(f"P4 ack for unknown send {packet.send_id}")
-            shandle.ack_flag.set(packet.sync_id)
+            self.progress.deliver_rndv_ack(packet.send_id, packet.sync_id)
         elif packet.kind is P4Kind.RNDV_DATA:
             # Socket flow-control stalls: the ~10 MB/s ceiling.
             yield charge(round(packet.envelope.size * P4_RNDV_STALL_NS_PER_BYTE))

@@ -8,13 +8,12 @@ threshold is unbounded, there is nothing to rendezvous with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.mpi.adi.device import Device, ProgressEngine, clone_payload
-from repro.mpi.adi.packets import Envelope
+from repro.mpi.adi.packets import Envelope, RndvToken
 from repro.mpi.adi.rhandle import SendHandle
-from repro.sim.coroutines import charge, wait
+from repro.sim.coroutines import charge
 from repro.units import us
 
 #: Fixed software cost of the loop-back path (queue ops, request setup).
@@ -29,7 +28,6 @@ class ChSelfDevice(Device):
     def __init__(self, progress: ProgressEngine):
         self.progress = progress
         self.eager_threshold = 2**62  # everything is eager (by size)
-        self._pending_sends: dict[int, SendHandle] = {}
 
     def send_eager(self, dest_world: int, envelope: Envelope,
                    data: Any) -> Generator:
@@ -41,33 +39,21 @@ class ChSelfDevice(Device):
 
     # Rendezvous is never selected by size (the threshold is unbounded),
     # but MPI_Ssend forces it: a synchronous self-send must block until
-    # the matching receive is posted.
-    def send_rndv(self, dest_world: int, shandle: SendHandle) -> Generator:
+    # the matching receive is posted.  The "packets" are direct calls
+    # into our own progress engine.
+    def rndv_request(self, dest_world: int, shandle: SendHandle) -> Generator:
         yield charge(SELF_OVERHEAD)
-        token = ChSelfRndvToken(self, self_rank=dest_world,
-                                send_id=shandle.send_id)
-        self._pending_sends[shandle.send_id] = shandle
-        yield from self.progress.deliver_rndv_request(shandle.envelope,
-                                                      token, self)
-        shandle.notify_request_sent()
-        sync_id = yield wait(shandle.ack_flag)
+        token = RndvToken(self, dest_world, shandle.send_id)
+        yield from self.progress.deliver_rndv_request(shandle.envelope, token)
+
+    def rndv_data(self, dest_world: int, shandle: SendHandle,
+                  sync_id: int) -> Generator:
         yield charge(self.progress.memory.copy_cost(shandle.envelope.size))
         yield from self.progress.deliver_rndv_data(
             sync_id, shandle.envelope, clone_payload(shandle.data)
         )
-        shandle.flag.set()
 
-    def send_rndv_ack(self, token: "ChSelfRndvToken", sync_id: int) -> Generator:
-        shandle = self._pending_sends.pop(token.send_id)
-        shandle.ack_flag.set(sync_id)
+    def send_rndv_ack(self, token: RndvToken, sync_id: int) -> Generator:
+        self.progress.deliver_rndv_ack(token.send_id, sync_id)
         return
         yield  # pragma: no cover - generator marker
-
-
-@dataclass(frozen=True)
-class ChSelfRndvToken:
-    """Identity of a pending self rendezvous."""
-
-    device: ChSelfDevice
-    self_rank: int
-    send_id: int

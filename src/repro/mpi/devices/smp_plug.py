@@ -22,9 +22,9 @@ from typing import Any, Generator
 from repro.errors import ConfigurationError, MPIError
 from repro.marcel.polling import PollMode, PollSource, PollingThread
 from repro.mpi.adi.device import Device, ProgressEngine, clone_payload
-from repro.mpi.adi.packets import Envelope
+from repro.mpi.adi.packets import Envelope, RndvToken
 from repro.mpi.adi.rhandle import SendHandle
-from repro.sim.coroutines import charge, wait
+from repro.sim.coroutines import charge
 from repro.sim.sync import Mailbox
 from repro.units import us
 
@@ -55,15 +55,6 @@ class SmpPacket:
     sync_id: int = 0
 
 
-@dataclass(frozen=True)
-class SmpRndvToken:
-    """What an unexpected rendezvous request remembers."""
-
-    device: "SmpPlugDevice"
-    requester_world: int
-    send_id: int
-
-
 class SmpPlugDevice(Device):
     """Shared-memory device of one process on a multi-process node."""
 
@@ -75,7 +66,6 @@ class SmpPlugDevice(Device):
         self.eager_threshold = SMP_EAGER_THRESHOLD
         self.fifo = Mailbox(name=f"smp[{world_rank}]")
         self._peers: dict[int, "SmpPlugDevice"] = {}
-        self._pending_sends: dict[int, SendHandle] = {}
         self._poll_thread: PollingThread | None = None
 
     # -- wiring (done by the cluster session) ---------------------------------
@@ -120,22 +110,15 @@ class SmpPlugDevice(Device):
         self._post_to(dest_world, SmpPacket(SmpKind.EAGER, self.world_rank,
                                             envelope, clone_payload(data)))
 
-    def send_rndv(self, dest_world: int, shandle: SendHandle) -> Generator:
+    def rndv_request(self, dest_world: int, shandle: SendHandle) -> Generator:
         yield charge(SMP_OVERHEAD)
-        self._pending_sends[shandle.send_id] = shandle
         self._post_to(dest_world, SmpPacket(SmpKind.RNDV_REQUEST,
                                             self.world_rank,
                                             shandle.envelope,
                                             send_id=shandle.send_id))
-        shandle.notify_request_sent()
-        sync_id = yield wait(shandle.ack_flag)
-        if sync_id is None:
-            # The FT layer aborted this rendezvous (peer death / revoke).
-            self._pending_sends.pop(shandle.send_id, None)
-            from repro.errors import MPIProcFailedError
-            raise shandle.error or MPIProcFailedError(
-                f"rendezvous to rank {dest_world} aborted: peer failed",
-                failed_rank=dest_world)
+
+    def rndv_data(self, dest_world: int, shandle: SendHandle,
+                  sync_id: int) -> Generator:
         # Single direct copy into the receiver's user buffer.
         yield charge(SMP_OVERHEAD
                      + self.progress.memory.copy_cost(shandle.envelope.size))
@@ -143,9 +126,8 @@ class SmpPlugDevice(Device):
                                             shandle.envelope,
                                             data=clone_payload(shandle.data),
                                             sync_id=sync_id))
-        shandle.flag.set()
 
-    def send_rndv_ack(self, token: SmpRndvToken, sync_id: int) -> Generator:
+    def send_rndv_ack(self, token: RndvToken, sync_id: int) -> Generator:
         yield charge(SMP_OVERHEAD)
         self._post_to(token.requester_world,
                       SmpPacket(SmpKind.RNDV_ACK, self.world_rank,
@@ -158,21 +140,11 @@ class SmpPlugDevice(Device):
         if packet.kind is SmpKind.EAGER:
             yield from self.progress.deliver_eager(packet.envelope, packet.data)
         elif packet.kind is SmpKind.RNDV_REQUEST:
-            token = SmpRndvToken(self, packet.source_world, packet.send_id)
+            token = RndvToken(self, packet.source_world, packet.send_id)
             yield from self.progress.deliver_rndv_request(packet.envelope,
-                                                          token, self)
+                                                          token)
         elif packet.kind is SmpKind.RNDV_ACK:
-            shandle = self._pending_sends.pop(packet.send_id, None)
-            if shandle is None:
-                if self.progress.ft is not None:
-                    # Stale ack for a send the FT layer already aborted.
-                    ins = self.progress.runtime.engine.instruments
-                    if ins.enabled:
-                        ins.count("ft.stale_acks", 1, rank=self.world_rank,
-                                  device="smp_plug")
-                    return
-                raise MPIError(f"smp ack for unknown send {packet.send_id}")
-            shandle.ack_flag.set(packet.sync_id)
+            self.progress.deliver_rndv_ack(packet.send_id, packet.sync_id)
         elif packet.kind is SmpKind.RNDV_DATA:
             yield from self.progress.deliver_rndv_data(packet.sync_id,
                                                        packet.envelope,

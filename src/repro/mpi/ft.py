@@ -238,24 +238,21 @@ class FTState:
         for handle in progress.posted.take_matching(doomed_posted):
             self._fail_recv(handle, code, failed_rank)
             failed_ops += 1
-        for device in (env.smp_device, env.inter_device):
-            pending = getattr(device, "_pending_sends", None)
-            if not pending:
+        pending = progress.pending_sends
+        for send_id, shandle in list(pending.items()):
+            if not doomed_send(shandle):
                 continue
-            for send_id, shandle in list(pending.items()):
-                if not doomed_send(shandle):
-                    continue
-                del pending[send_id]
-                shandle.error = exc
-                shandle.ack_flag.set(None)
-                failed_ops += 1
-                if checker.enabled:
-                    checker.on_ft_abort_send(env.rank, send_id)
+            del pending[send_id]
+            shandle.error = exc
+            shandle.ack_flag.set(None)
+            failed_ops += 1
+            if checker.enabled:
+                checker.on_ft_abort_send(env.rank, send_id)
         for entry in progress.unexpected.purge(
                 lambda e: doomed_envelope(e.envelope)):
             send_id = 0
             if entry.kind is UnexpectedKind.RNDV_REQUEST:
-                send_id = getattr(entry.rndv_token, "send_id", 0)
+                send_id = entry.rndv_token.send_id
             self.note_discard(entry.envelope, send_id=send_id)
         for sync_id, sync in list(progress.sync_registry.items()):
             handle = sync.rhandle

@@ -7,7 +7,8 @@ into batch workloads:
 
 - :mod:`repro.runner.spec` — serializable job descriptions and their
   canonical content digests;
-- :mod:`repro.runner.jobs` — the executor registry (what a job *does*);
+- :mod:`repro.workloads.executors` — the executor registry (what a job
+  *does*);
 - :mod:`repro.runner.cache` — content-addressed on-disk result cache
   (same spec → instant, bit-identical re-run);
 - :mod:`repro.runner.runner` — the process pool with crash retry and
@@ -19,7 +20,7 @@ Front ends: ``python -m repro`` (the unified CLI),
 """
 
 from repro.runner.cache import CACHE_ENV, ResultCache, default_cache_dir
-from repro.runner.jobs import EXECUTORS, execute, register
+from repro.workloads.executors import EXECUTORS, execute, register
 from repro.runner.runner import Runner, default_workers, run_specs
 from repro.runner.spec import (
     CACHE_SCHEMA,

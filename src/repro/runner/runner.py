@@ -31,7 +31,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 from repro.runner.cache import ResultCache
-from repro.runner.jobs import execute
+from repro.workloads.executors import execute
 from repro.runner.spec import JobResult, JobSpec, payload_digest
 from repro.sim.metrics import MetricsRegistry
 

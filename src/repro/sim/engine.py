@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.check.checker import NULL_CHECKER, Checker
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.metrics import NULL_INSTRUMENTS, Instrumentation
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import NULL_TRACER
 
 
 def seed_namespace(*parts: Any) -> str:
@@ -57,9 +57,7 @@ def seed_namespace(*parts: Any) -> str:
 class EngineConfig:
     """Everything optional about an engine, in one declarative object.
 
-    Replaces the scattered per-feature enablement calls (the removed
-    ``enable_*`` methods and hand-rolled ``install_fuzz`` wiring) with a
-    single serializable configuration accepted by
+    One serializable configuration for every optional feature, accepted by
     :class:`Engine` and :class:`~repro.cluster.session.MPIWorld`::
 
         world = MPIWorld(cluster, engine_config=EngineConfig(
@@ -227,11 +225,7 @@ class Engine:
             self.apply_config(config)
 
     def apply_config(self, config: EngineConfig) -> "Engine":
-        """Install whatever ``config`` asks for; returns ``self``.
-
-        This is the one enablement path — the legacy ``enable_*``
-        methods were removed in its favour.
-        """
+        """Install whatever ``config`` asks for; returns ``self``."""
         self.config = config
         if config.wants_instrumentation:
             install_instrumentation(self)
@@ -261,35 +255,6 @@ class Engine:
             gen = self._rngs[namespace] = random.Random(
                 seed_namespace(self.seed, namespace))
         return gen
-
-    # -- removed enablement shims -----------------------------------------
-    #
-    # The per-feature enable_* methods predated EngineConfig, spent one
-    # release warning, and are now errors that name their replacement.
-
-    def enable_instrumentation(self) -> Instrumentation:
-        """Removed: use ``EngineConfig(instrumentation=True)`` or
-        :func:`install_instrumentation`."""
-        raise ConfigurationError(
-            "Engine.enable_instrumentation() was removed; pass "
-            "EngineConfig(instrumentation=True) to the Engine/MPIWorld "
-            "constructor (or call repro.sim.engine.install_instrumentation)")
-
-    def enable_checker(self, raise_on_violation: bool = True) -> Checker:
-        """Removed: use ``EngineConfig(checker=True)`` or
-        :func:`install_checker`."""
-        raise ConfigurationError(
-            "Engine.enable_checker() was removed; pass "
-            "EngineConfig(checker=True, checker_raise=...) to the "
-            "Engine/MPIWorld constructor (or call "
-            "repro.sim.engine.install_checker)")
-
-    def enable_tracing(self) -> Tracer:
-        """Removed: pass ``EngineConfig(instrumentation=True)`` and read
-        ``engine.tracer``."""
-        raise ConfigurationError(
-            "Engine.enable_tracing() was removed; pass "
-            "EngineConfig(instrumentation=True) and read engine.tracer")
 
     # -- clock ------------------------------------------------------------
 

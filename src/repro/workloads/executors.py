@@ -8,9 +8,7 @@ must be pure functions of the spec: the content-addressed cache assumes
 that re-running a spec reproduces its payload bit for bit, which the
 deterministic simulator guarantees.
 
-This module *is* the executor registry (``repro.runner.jobs`` re-exports
-it unchanged, so historical imports and JobSpec digests still hold).
-Built-in kinds:
+This module *is* the executor registry.  Built-in kinds:
 
 ``workload``
     One run of any workload in the unified registry

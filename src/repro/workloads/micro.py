@@ -1,4 +1,4 @@
-"""The micro/protocol workloads (formerly ``repro.check.workloads``).
+"""The micro/protocol workloads.
 
 Each workload builds a cluster configuration plus a rank program whose
 *return value is schedule-independent*: whatever legal interleaving the
@@ -24,9 +24,8 @@ Pitfalls baked into these programs, learned the hard way:
 - the lossy variant reuses the mixed program verbatim on lossy fabrics:
   the reliable transport must make packet loss invisible to results.
 
-The builder bodies are unchanged from their ``check/workloads.py``
-days on purpose: fuzz-seed digests and goldens are bit-identical
-across the move to the unified registry.
+The builder bodies are frozen on purpose: fuzz-seed digests and
+goldens pin them bit for bit.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ from repro.mpi.reduce_ops import MAX, SUM
 
 from repro.workloads.registry import Workload, register
 
-# The flat zoo, fetched from the registry (the historical
-# repro.mpi.algorithms names; that module's free functions are gone).
+# The flat zoo, fetched from the registry.
 _BCAST_ZOO = {name: coll.get("bcast", name).fn
               for name in ("linear", "binomial")}
 _ALLREDUCE_ZOO = {name: coll.get("allreduce", name).fn

@@ -1,12 +1,8 @@
 """The unified workload registry and the :class:`Workload` protocol.
 
-Historically the repository grew three parallel ways to describe "a
-program plus the cluster it runs on": the fuzz workloads of
-``repro/check/workloads.py``, the job-executor registry of
-``repro/runner/jobs.py``, and one-off driver scripts under
-``benchmarks/perf/``.  Registering a workload three times meant three
-chances for drift — and the macro-workloads (ML training, CFD halo
-exchange) would have made it four.
+The fuzzer, the batch runner's job kinds and the ``benchmarks/perf/``
+drivers all need "a program plus the cluster it runs on"; registering
+it once here is what keeps them from drifting apart.
 
 :class:`Workload` is the one description all front ends share:
 

@@ -1,9 +1,8 @@
 """Differential collective tests under the online checker.
 
-Every algorithm variant in the collective registry (plus the legacy
-:mod:`repro.mpi.algorithms` surface) runs on each of the three paper
-networks (SCI, TCP, BIP/Myrinet) and is compared against the flat
-default and a pure-Python reference computed outside the simulator.
+Every algorithm variant in the collective registry runs on each of the
+three paper networks (SCI, TCP, BIP/Myrinet) and is compared against the
+flat default and a pure-Python reference computed outside the simulator.
 The checker is enabled for every run: an algorithm that silently
 violates non-overtaking, the rendezvous handshake or the finalize leak
 rules fails here even when its numeric answer happens to be right.
@@ -18,14 +17,14 @@ import pytest
 
 from repro.cluster import MPIWorld, multirail_smp_cluster
 from repro.mpi import coll
-from repro.mpi.algorithms import (
-    ALLREDUCE_ALGORITHMS,
-    BCAST_ALGORITHMS,
-)
 from repro.mpi.reduce_ops import MAX, MINLOC, SUM
 from repro.sim.engine import install_checker
 from tests.helpers import linear_cluster
 
+BCAST_ALGORITHMS = {name: coll.get("bcast", name).fn
+                    for name in ("linear", "binomial")}
+ALLREDUCE_ALGORITHMS = {name: coll.get("allreduce", name).fn
+                        for name in ("reduce_bcast", "recursive_doubling")}
 allgather_bruck = coll.get("allgather", "bruck").fn
 
 NETWORKS = ["sisci", "tcp", "bip"]

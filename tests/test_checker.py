@@ -23,8 +23,7 @@ from repro.madeleine.constants import (
 from repro.madeleine.message import MadWireMessage, PackedBlock
 from repro.madeleine.reliable import MadAck
 from repro.marcel import PollingThread
-from repro.mpi.adi.packets import Envelope
-from repro.mpi.devices.ch_mad.device import ChMadRndvToken
+from repro.mpi.adi.packets import Envelope, RndvToken
 from repro.mpi.devices.ch_mad.packets import ChMadHeader, MadPktType
 from repro.sim import Engine, Mailbox
 from repro.sim.engine import EngineConfig, install_checker
@@ -90,8 +89,7 @@ def test_forged_sendok_names_rank_and_connection():
             # A SENDOK for a send_id no REQUEST ever announced: the §4.2.2
             # handshake ran backwards.
             device = mpi.inter_device
-            token = ChMadRndvToken(device, requester_world=0,
-                                   send_id=999_999)
+            token = RndvToken(device, requester_world=0, send_id=999_999)
             yield from device.send_rndv_ack(token, sync_id=7)
         else:
             yield from comm.recv(source=1, tag=0)
@@ -271,6 +269,29 @@ def test_unreceived_message_reported_at_finalize():
     assert violation.invariant == "finalize-leak"
     assert violation.rank == 1
     assert "unexpected" in violation.details
+
+
+def test_unacknowledged_node_mate_issend_reported_at_finalize():
+    """The sender's side of a rendezvous nobody received, through
+    smp_plug: the pending-send table is the ADI's, not ch_mad's."""
+    world = MPIWorld(ClusterConfig(nodes=[NodeSpec("smp", processes=2)]),
+                     engine_config=EngineConfig(checker=True,
+                                                checker_raise=False))
+    send_ids = []
+
+    def program(mpi):
+        comm = mpi.comm_world
+        if comm.rank == 0:
+            comm.issend(b"orphan", dest=1, tag=3, size=32)
+        yield from comm.barrier()
+        send_ids.extend(mpi.progress.pending_sends)
+
+    world.run(program)
+    (send_id,) = send_ids
+    mine = [v for v in world.engine.checker.violations if v.rank == 0
+            and "never acknowledged" in v.details]
+    assert [v.invariant for v in mine] == ["finalize-leak"]
+    assert f"send_ids [{send_id}]" in mine[0].details
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,14 @@ def test_fuzz_rejects_unknown_workload(capsys):
     assert main(["fuzz", "--workload", "nope"]) == 2
 
 
+@pytest.mark.slow
+def test_report_tables_nothing_deviates(capsys):
+    assert main(["report", "tables"]) == 0
+    out = capsys.readouterr().out
+    assert "Table 1" in out and "Table 2" in out
+    assert "DEVIATES" not in out
+
+
 def test_report_rejects_unknown_target(capsys):
     assert main(["report", "nope"]) == 2
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.cluster import EngineConfig, MPIWorld, multirail_smp_cluster
 from repro.errors import ConfigurationError, MPICommError
-from repro.mpi import algorithms as legacy
 from repro.mpi import coll
 from repro.mpi import collectives as _coll
 from repro.mpi.constants import COMM_TYPE_SHARED, UNDEFINED
@@ -248,29 +247,6 @@ def test_multilane_allreduce_uses_both_rails():
 # ---------------------------------------------------------------------------
 # removed free-function shims
 # ---------------------------------------------------------------------------
-
-def test_algorithms_module_free_functions_are_errors():
-    with pytest.raises(ConfigurationError, match="algorithm='linear'"):
-        legacy.bcast_linear(None, "x", root=0)
-    with pytest.raises(ConfigurationError, match="algorithm='binomial'"):
-        legacy.bcast_binomial(None, "x", root=0)
-    with pytest.raises(ConfigurationError,
-                       match="algorithm='recursive_doubling'"):
-        legacy.allreduce_recursive_doubling(None, 1, SUM)
-    with pytest.raises(ConfigurationError, match="algorithm='bruck'"):
-        legacy.allgather_bruck(None, 1)
-
-
-def test_algorithm_dicts_keep_their_historical_contents():
-    assert set(legacy.BCAST_ALGORITHMS) == {"linear", "binomial"}
-    assert set(legacy.ALLREDUCE_ALGORITHMS) == \
-        {"reduce_bcast", "recursive_doubling"}
-    # The dict entries are the registry implementations, not the shims:
-    # iterating them must not spray DeprecationWarnings.
-    from repro.mpi.coll.flat import allreduce_recursive_doubling
-    assert legacy.ALLREDUCE_ALGORITHMS["recursive_doubling"] \
-        is allreduce_recursive_doubling
-
 
 # ---------------------------------------------------------------------------
 # the performance claim

@@ -87,14 +87,6 @@ def test_cluster_of_clusters(capsys):
     assert "elected eager/rendezvous switch point: 8192 bytes" in out
 
 
-@pytest.mark.slow
-def test_reproduce_paper_tables(capsys):
-    run_example("reproduce_paper.py", ["tables"])
-    out = capsys.readouterr().out
-    assert "Table 1" in out and "Table 2" in out
-    assert "DEVIATES" not in out
-
-
 def test_fault_tolerance_demo(capsys):
     run_example("fault_tolerance_demo.py")
     out = capsys.readouterr().out

@@ -12,9 +12,8 @@ The contract under test:
 """
 
 from repro.check import fuzz as fuzz_mod
-from repro.check import workloads as workloads_mod
 from repro.check.fuzz import ScheduleFuzz, install_fuzz, run_sweep, run_workload
-from repro.check.workloads import WORKLOADS, Workload
+from repro.workloads import WORKLOADS, Workload
 from repro.cluster import ClusterConfig, NodeSpec
 from repro.sim import Engine
 
@@ -201,13 +200,3 @@ def test_legacy_fuzz_module_cli_is_gone():
     # The `python -m repro.check.fuzz` shim graduated out of existence;
     # the consolidated CLI owns the subcommand now.
     assert not hasattr(fuzz_mod, "main")
-
-
-def test_module_reexports_are_consistent():
-    # fuzz.py resolves workloads lazily (import-cycle discipline) — make
-    # sure both legacy modules and the unified registry share one object.
-    assert fuzz_mod is not None
-    import repro.workloads as unified
-    from repro.check.workloads import WORKLOADS as again
-    assert again is workloads_mod.WORKLOADS
-    assert again is unified.WORKLOADS

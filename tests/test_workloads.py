@@ -9,9 +9,7 @@ Covers the PR's API contract:
 - macro-workloads: same-seed bit-determinism for ``ml_training`` and
   ``cfd_halo``, and the differential claim that the hierarchical
   allreduce matches the flat one element for element on the integer
-  gradients;
-- legacy surface: ``repro.check.workloads`` / ``repro.runner.jobs``
-  re-export the same registry objects.
+  gradients.
 """
 
 import numpy as np
@@ -187,21 +185,6 @@ def test_macro_workloads_fuzz_clean():
     failures = run_sweep(["ml_training", "cfd_halo"], range(2),
                          out=lambda _line: None)
     assert failures == []
-
-
-# ---------------------------------------------------------------------------
-# legacy surface
-# ---------------------------------------------------------------------------
-
-def test_legacy_modules_reexport_the_same_objects():
-    from repro.check import workloads as legacy_workloads
-    from repro.runner import jobs as legacy_jobs
-    from repro.workloads import executors
-
-    assert legacy_workloads.WORKLOADS is workloads.WORKLOADS
-    assert legacy_workloads.Workload is Workload
-    assert legacy_jobs.EXECUTORS is executors.EXECUTORS
-    assert legacy_jobs.execute is executors.execute
 
 
 def test_metrics_of_interest_reported_when_instrumented():
