@@ -151,6 +151,8 @@ class Checker:
         # the sync_id -> send_id map learned from SENDOK packets.
         self._rndv: dict[int, tuple[str, int, int]] = {}
         self._sync_to_send: dict[int, int] = {}
+        # FT-aborted sends: send_id -> handshake state (on_ft_abort_send).
+        self._aborted_rndv: dict[int, str | None] = {}
         # §4.2.3 polling discipline: registered polling-thread tasks.
         self._pollers: dict[Any, str] = {}
         # Reliable transport shadow window:
@@ -279,6 +281,9 @@ class Checker:
         elif kind == "MAD_SENDOK_PKT":
             entry = self._rndv.get(header.send_id)
             if entry is None:
+                if self._late_packet(header.send_id, "request-received",
+                                     "acked"):
+                    return
                 self._violate("rendezvous-handshake", src,
                               f"MAD_SENDOK_PKT for unknown send_id "
                               f"{header.send_id}", connection=conn)
@@ -317,6 +322,9 @@ class Checker:
                                            header.pkt_type.name)
         if kind == "MAD_REQUEST_PKT":
             entry = self._rndv.get(header.send_id)
+            if entry is None and self._late_packet(
+                    header.send_id, "requested", "request-received"):
+                return
             if entry is None or entry[0] != "requested":
                 state = entry[0] if entry else "unknown"
                 self._violate("rendezvous-handshake", rank,
@@ -327,6 +335,9 @@ class Checker:
                                           entry[1], entry[2])
         elif kind == "MAD_SENDOK_PKT":
             entry = self._rndv.get(header.send_id)
+            if entry is None and self._late_packet(header.send_id, "acked",
+                                                   None):
+                return
             if entry is None or entry[0] != "acked":
                 state = entry[0] if entry else "unknown"
                 self._violate("rendezvous-handshake", rank,
@@ -451,13 +462,29 @@ class Checker:
         self._drop_rndv(send_id)
 
     def on_ft_abort_send(self, rank: int, send_id: int) -> None:
-        """The FT layer aborted an in-flight rendezvous send."""
+        """The FT layer aborted an in-flight rendezvous send.  A live
+        receiver unaware of it may still take the request and send its one
+        SENDOK (counted as ``ft.stale_acks``): the entry's state is kept
+        as a tombstone that :meth:`_late_packet` walks to its end once."""
+        entry = self._rndv.get(send_id)
         self._drop_rndv(send_id)
+        if entry is not None:
+            self._aborted_rndv[send_id] = entry[0]
+
+    def _late_packet(self, send_id: int, state: str,
+                     new_state: str | None) -> bool:
+        """Accept a handshake packet of an aborted send whose tombstone is
+        in ``state``; it moves on to ``new_state`` (None: done)."""
+        if self._aborted_rndv.get(send_id) != state:
+            return False
+        self._aborted_rndv[send_id] = new_state
+        return True
 
     def _drop_rndv(self, send_id: int) -> None:
         if not send_id:
             return
         self._rndv.pop(send_id, None)
+        self._aborted_rndv.pop(send_id, None)
         for sync_id, mapped in list(self._sync_to_send.items()):
             if mapped == send_id:
                 del self._sync_to_send[sync_id]

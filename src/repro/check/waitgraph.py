@@ -6,11 +6,14 @@ annotate their waitables with two ad-hoc attributes:
 
 - ``rank_dep`` — the world rank whose action would release the waiter
   (``None`` when unknown, e.g. an ``MPI_ANY_SOURCE`` receive);
-- ``dep_describe`` — a human-readable description of the dependency.
+- ``dep_describe`` — a human-readable description of the dependency, or
+  a zero-argument callable returning it.
 
-The annotations are always on (two attribute stores per blocking
-operation — far off any hot path) so a hang is diagnosable even when the
-checker was never enabled.  :func:`diagnose` collects one edge per
+The annotations are always on so a hang is diagnosable even when the
+checker was never enabled.  Producers on the per-message path (a
+receive's :class:`~repro.mpi.adi.rhandle.RecvHandle`, the rendezvous
+ack wait) store the callable: the text is formatted only here, when a
+diagnosis reads it.  :func:`diagnose` collects one edge per
 blocked non-daemon task (daemons with no rank dependency are polling
 threads parked on empty mailboxes — noise, skipped), builds the
 rank-level adjacency, and searches for a cycle; the resulting
@@ -58,9 +61,12 @@ def collect_edges(envs: Iterable[Any]) -> list[WaitEdge]:
             dep = getattr(waitable, "rank_dep", None)
             if task.daemon and dep is None:
                 continue  # a poller parked on its empty mailbox
-            description = (getattr(waitable, "dep_describe", None)
-                           or task.waiting_description())
-            edges.append(WaitEdge(env.rank, task.name, description, dep))
+            description = getattr(waitable, "dep_describe", None)
+            if callable(description):
+                description = description()
+            edges.append(WaitEdge(env.rank, task.name,
+                                  description or task.waiting_description(),
+                                  dep))
     return edges
 
 

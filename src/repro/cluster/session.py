@@ -200,8 +200,10 @@ class MPIWorld:
     def run(self, program: Program, max_events: int | None = None) -> list[Any]:
         """Run ``program(env)`` on every rank; returns per-rank results.
 
-        Raises :class:`DeadlockError` if the event queue drains while some
-        rank's main thread is still blocked (a hung MPI job).
+        Raises :class:`DeadlockError` (wait-for-graph diagnosed) as soon as,
+        between batches, a main is blocked with nothing but idle pollers'
+        ticks left (:meth:`Engine.idle_backlog`).  ``max_events`` bounds
+        livelocks and fault-tolerant hangs (heartbeats are timed events).
         """
         mains = []
         # Completion is counted by a per-task done callback instead of
@@ -227,9 +229,10 @@ class MPIWorld:
             task.add_done_callback(_main_done)
             mains.append(task)
         executed = 0
-        step_batch = self.engine.step_batch
+        engine = self.engine
+        step_batch = engine.step_batch
+        limit = 4096
         while not stopped[0]:
-            limit = 4096
             if max_events is not None:
                 budget = max_events - executed
                 if budget <= 0:
@@ -237,13 +240,18 @@ class MPIWorld:
                         f"exceeded max_events={max_events} with ranks still "
                         "running", mains)
                 limit = min(limit, budget)
-            n = step_batch(limit, stopped)
-            executed += n
-            if n == 0 and not stopped[0]:
+            executed += step_batch(limit, stopped)
+            if stopped[0]:
+                break
+            backlog = engine.idle_backlog()
+            if backlog == 0:
                 stuck = sum(1 for t in mains if not t.finished)
+                left = ("event queue drained" if engine.pending() == 0
+                        else "only idle pollers left ticking")
                 raise self._deadlock(
-                    f"MPI job hung: event queue drained with {stuck} "
-                    "rank(s) still blocked", mains)
+                    f"MPI job hung: {left} with {stuck} rank(s) still "
+                    "blocked", mains)
+            limit = backlog or 4096  # zero-delay events first, then ask again
         self.shutdown()
         return [task.result for task in mains]
 

@@ -218,9 +218,8 @@ class DeathController:
         for task in list(process.runtime.cpu.live_tasks()):
             task.kill()
         # Retire (never recycle) the dead rank's object pools: a pooled
-        # task or request shell from a killed process must not be handed
-        # back out into live traffic.  This also fires the progress
-        # engine's registered pool-retirement hooks.
+        # request shell from a killed process must not be handed back
+        # out into live traffic (the progress engine's registered hook).
         process.runtime.cpu.retire_pools()
         self.detector.rank_killed(rank)
         checker = self.engine.checker

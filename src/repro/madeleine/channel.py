@@ -85,40 +85,36 @@ class Connection:
         self.messages_sent = 0
 
     def _transmit(self, blocks: tuple[PackedBlock, ...]) -> Generator:
+        """Stamp one message and return the generator that sends it (the
+        transport's or the NIC's), for the caller to ``yield from``."""
         process = self.port.process
         checker = process.engine.checker
         if checker.enabled:
             # §4.2.3: the thread performing a connection send must never
             # be a registered polling thread.
             checker.on_transmit(self, process.runtime.cpu.current)
-        wire = MadWireMessage(
-            channel_id=self.port.channel.id,
-            source_rank=self.port.rank,
-            dest_rank=self.remote_rank,
-            sequence=self._send_seq,
-            blocks=blocks,
-        )
+        port = self.port
+        channel = port.channel
+        wire = MadWireMessage(channel.id, port.rank, self.remote_rank,
+                              self._send_seq, blocks)
         self._send_seq += 1
         self.messages_sent += 1
-        ins = self.port.process.engine.instruments
+        ins = process.engine.instruments
         if ins.enabled:
-            channel = self.port.channel
             ins.count("mad.messages", 1, channel=channel.name,
-                      protocol=channel.protocol, rank=self.port.rank)
+                      protocol=channel.protocol, rank=port.rank)
             ins.count("mad.bytes", wire.wire_bytes, channel=channel.name,
-                      protocol=channel.protocol, rank=self.port.rank)
+                      protocol=channel.protocol, rank=port.rank)
             for block in blocks:
                 ins.count("mad.blocks", 1, channel=channel.name,
-                          protocol=channel.protocol, rank=self.port.rank,
+                          protocol=channel.protocol, rank=port.rank,
                           mode=block.receive_mode.name)
-        transport = self.port.transport
+        transport = port.transport
         if transport is not None:
-            yield from transport.reliable_send(self, wire)
-            return
-        remote_port = self.port.channel.port(self.remote_rank)
-        yield from self.port.endpoint.send_message(
-            remote_port.endpoint, wire.wire_bytes, wire
-        )
+            return transport.reliable_send(self, wire)
+        remote_port = channel.port(self.remote_rank)
+        return port.endpoint.send_message(remote_port.endpoint,
+                                          wire.wire_bytes, wire)
 
 
 class ChannelPort:
@@ -149,6 +145,9 @@ class ChannelPort:
 
     def connection(self, remote_rank: int) -> Connection:
         """The (lazily created) connection to ``remote_rank``."""
+        conn = self._connections.get(remote_rank)
+        if conn is not None:
+            return conn  # validated when it was created
         if remote_rank == self.rank:
             raise ChannelError(
                 "Madeleine connections are inter-process; intra-process "
@@ -159,9 +158,7 @@ class ChannelPort:
                 f"rank {remote_rank} is not a member of channel "
                 f"{self.channel.name!r}"
             )
-        conn = self._connections.get(remote_rank)
-        if conn is None:
-            conn = self._connections[remote_rank] = Connection(self, remote_rank)
+        conn = self._connections[remote_rank] = Connection(self, remote_rank)
         return conn
 
     def begin_packing(self, remote_rank: int) -> OutgoingMessage:

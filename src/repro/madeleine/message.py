@@ -23,8 +23,7 @@ Cost model (see DESIGN.md §5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, NamedTuple
 
 from repro.errors import PackingError
 from repro.madeleine.constants import (
@@ -40,9 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.networks.fabric import Delivery
 
 
-@dataclass(frozen=True)
-class PackedBlock:
-    """One ``mad_pack``'d block as it travels on the wire."""
+class PackedBlock(NamedTuple):
+    """One ``mad_pack``'d block as it travels on the wire (immutable;
+    a ``NamedTuple``, like every per-message wire record)."""
 
     data: Any
     size: int
@@ -50,8 +49,7 @@ class PackedBlock:
     receive_mode: ReceiveMode
 
 
-@dataclass(frozen=True)
-class MadWireMessage:
+class MadWireMessage(NamedTuple):
     """The payload handed to the network fabric for one Madeleine message."""
 
     channel_id: int
@@ -63,17 +61,20 @@ class MadWireMessage:
     @property
     def wire_bytes(self) -> int:
         """Total bytes serialized for this message (blocks + framing)."""
-        return (
-            MESSAGE_FRAMING_BYTES
-            + sum(b.size + BLOCK_FRAMING_BYTES for b in self.blocks)
-        )
+        total = MESSAGE_FRAMING_BYTES
+        for block in self.blocks:
+            total += block.size + BLOCK_FRAMING_BYTES
+        return total
 
 
 class OutgoingMessage:
     """Build-side state machine: ``pack*`` then ``end_packing``."""
 
+    __slots__ = ("connection", "_port", "_blocks", "_finalized")
+
     def __init__(self, connection: "Connection"):
         self.connection = connection
+        self._port = connection.port
         self._blocks: list[PackedBlock] = []
         self._finalized = False
 
@@ -86,18 +87,18 @@ class OutgoingMessage:
             raise PackingError(f"negative block size {size}")
         if not isinstance(send_mode, SendMode) or not isinstance(receive_mode, ReceiveMode):
             raise PackingError("pack requires a SendMode and a ReceiveMode flag")
-        port = self.connection.port
-        cost = 0
-        if self._blocks:  # first block is covered by the message overheads
-            cost += port.params.pack_op_cost
+        port, blocks = self._port, self._blocks
+        # The first block is covered by the message overheads.
+        cost = port.params.pack_op_cost if blocks else 0
         if receive_mode is ReceiveMode.EXPRESS or send_mode is SendMode.SAFER:
             cost += port.memory.copy_cost(size)
         if cost:
             port.cpu.owe(cost)
-        self._blocks.append(PackedBlock(data, size, send_mode, receive_mode))
+        blocks.append(PackedBlock(data, size, send_mode, receive_mode))
 
     def end_packing(self) -> Generator:
-        """Finalize and transmit; returns when the send completes locally.
+        """Finalize; returns the transmitting generator (``yield from`` it:
+        it returns when the send completes locally).
 
         Pays what the ``pack`` calls accrued, with the send's own charge.
         """
@@ -106,7 +107,7 @@ class OutgoingMessage:
         if not self._blocks:
             raise PackingError("empty message: pack at least one block")
         self._finalized = True
-        yield from self.connection._transmit(tuple(self._blocks))
+        return self.connection._transmit(tuple(self._blocks))
 
     @property
     def block_count(self) -> int:
@@ -121,11 +122,15 @@ class IncomingMessage:
     stream.  We detect and raise instead.
     """
 
+    __slots__ = ("port", "wire", "delivery", "_blocks", "_cursor",
+                 "_finalized")
+
     def __init__(self, port: "ChannelPort", wire: MadWireMessage,
                  delivery: "Delivery"):
         self.port = port
         self.wire = wire
         self.delivery = delivery
+        self._blocks = wire.blocks
         self._cursor = 0
         self._finalized = False
 
@@ -139,30 +144,30 @@ class IncomingMessage:
         """Extract the next block (accrues unpack costs); returns its data."""
         if self._finalized:
             raise PackingError("unpack after end_unpacking")
-        if self._cursor >= len(self.wire.blocks):
+        blocks, cursor = self._blocks, self._cursor
+        if cursor >= len(blocks):
             raise PackingError(
-                f"unpack #{self._cursor + 1} but message has only "
-                f"{len(self.wire.blocks)} blocks"
+                f"unpack #{cursor + 1} but message has only "
+                f"{len(blocks)} blocks"
             )
-        block = self.wire.blocks[self._cursor]
+        block = blocks[cursor]
         if block.size != size:
             raise PackingError(
                 f"unpack size {size} != packed size {block.size} "
-                f"(block {self._cursor})"
+                f"(block {cursor})"
             )
         if block.send_mode is not send_mode or block.receive_mode is not receive_mode:
             raise PackingError(
                 f"unpack modes ({send_mode}, {receive_mode}) do not match "
                 f"packed modes ({block.send_mode}, {block.receive_mode})"
             )
-        cost = 0
-        if self._cursor > 0:
-            cost += self.port.params.unpack_op_cost
+        port = self.port
+        cost = port.params.unpack_op_cost if cursor else 0
         if receive_mode is ReceiveMode.EXPRESS:
-            cost += self.port.memory.copy_cost(size)
+            cost += port.memory.copy_cost(size)
         if cost:
-            self.port.cpu.owe(cost)
-        self._cursor += 1
+            port.cpu.owe(cost)
+        self._cursor = cursor + 1
         return block.data
 
     def end_unpacking(self) -> Generator:
@@ -170,9 +175,9 @@ class IncomingMessage:
         thread pays here what receiving and unpacking them accrued."""
         if self._finalized:
             raise PackingError("end_unpacking called twice")
-        if self._cursor != len(self.wire.blocks):
+        if self._cursor != len(self._blocks):
             raise PackingError(
-                f"end_unpacking with {len(self.wire.blocks) - self._cursor} "
+                f"end_unpacking with {len(self._blocks) - self._cursor} "
                 "blocks not yet unpacked"
             )
         self._finalized = True
@@ -180,7 +185,7 @@ class IncomingMessage:
 
     @property
     def remaining_blocks(self) -> int:
-        return len(self.wire.blocks) - self._cursor
+        return len(self._blocks) - self._cursor
 
     def next_block_size(self) -> int:
         """Wire size of the next block to unpack.
@@ -189,6 +194,6 @@ class IncomingMessage:
         receiving side may size a self-describing header before
         extracting it (ch_mad's type-field dispatch relies on this).
         """
-        if self._cursor >= len(self.wire.blocks):
+        if self._cursor >= len(self._blocks):
             raise PackingError("no blocks left to size")
-        return self.wire.blocks[self._cursor].size
+        return self._blocks[self._cursor].size

@@ -46,12 +46,11 @@ class MarcelRuntime:
         Temporary threads are daemons: if the application exits while one
         is still draining, it must not be reported as a deadlock.
 
-        By default the Task shell is *recyclable* through the CPU's
-        free-list once it finishes — million-message runs spawn a
-        temporary thread per isend/rendezvous op, and without pooling
-        every shell lived until finalize.  Callers that retain the
-        returned handle to join it later must pass ``recycle=False``
-        (see ``CPU.spawn``).
+        By default the Task is *recyclable*: it leaves the CPU's roster
+        once it finishes — million-message runs spawn a temporary thread
+        per isend/rendezvous op, and without that every one lived until
+        finalize.  Callers that retain the returned handle to join it
+        later pass ``recycle=False`` (see ``CPU.spawn``).
 
         Under schedule fuzzing (see repro.check.fuzz) the thread's start
         is jittered by a seeded delay — temporary threads carry no timing

@@ -221,7 +221,8 @@ class ProgressEngine:
         if self.ft is not None and self.ft.should_discard(envelope):
             self.ft.note_discard(envelope)
             return
-        data = yield from self._heterogeneity(envelope, data)
+        if envelope.byte_order != self.byte_order:
+            data = yield from self._heterogeneity(envelope, data)
         handle = self.posted.match(envelope)
         if handle is not None:
             checker = self.runtime.engine.checker
@@ -300,7 +301,8 @@ class ProgressEngine:
             raise MPIError(f"rendezvous data for unknown sync_id {sync_id}")
         # Zero-copy: the data lands in the user buffer; no memcpy charge
         # (heterogeneity conversion, when needed, is charged).
-        data = yield from self._heterogeneity(envelope, data)
+        if envelope.byte_order != self.byte_order:
+            data = yield from self._heterogeneity(envelope, data)
         sync.rhandle.complete(envelope, data)
         self.rndv_completed += 1
         self.arrivals.notify_all()
@@ -310,14 +312,13 @@ class ProgressEngine:
     def _heterogeneity(self, envelope: Envelope, data: Any) -> Generator:
         """Convert a foreign-byte-order payload to the local order.
 
-        Conversion only applies to numeric buffers (numpy arrays) — the
-        ADI's datatype engine knows their element layout.  With
-        conversion disabled (ablation), foreign arrays arrive raw: the
-        receiver sees byte-swapped garbage, exactly what a heterogeneous
-        cluster without Fig. 1's "heterogeneity" box would produce.
+        Entered only for a foreign ``envelope.byte_order``.  Conversion
+        only applies to numeric buffers (numpy arrays) — the ADI's
+        datatype engine knows their element layout.  With conversion
+        disabled (ablation), foreign arrays arrive raw: the receiver sees
+        byte-swapped garbage, exactly what a heterogeneous cluster
+        without Fig. 1's "heterogeneity" box would produce.
         """
-        if envelope.byte_order == self.byte_order:
-            return data
         if not isinstance(data, np.ndarray) or data.dtype.itemsize <= 1:
             return data
         if not self.heterogeneity_conversion:
@@ -380,11 +381,12 @@ class Device:
         pending[shandle.send_id] = shandle
         yield from self.rndv_request(dest_world, shandle)
         shandle.notify_request_sent()  # match slot secured: release ordering
-        # Wait-for-graph metadata: this wait depends on the receiver rank.
-        ack = shandle.ack_flag
+        # Wait-for-graph metadata: this wait depends on the receiver rank
+        # (the text is formatted only if a diagnosis reads it).
+        ack, send_id = shandle.ack_flag, shandle.send_id
         ack.rank_dep = dest_world
-        ack.dep_describe = (f"rendezvous ack from rank {dest_world} "
-                            f"(send_id={shandle.send_id})")
+        ack.dep_describe = lambda: (f"rendezvous ack from rank {dest_world} "
+                                    f"(send_id={send_id})")
         sync_id = yield wait(ack)
         if sync_id is None:
             # The FT layer failed this send (peer death / revoke) and

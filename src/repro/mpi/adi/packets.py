@@ -5,18 +5,20 @@ The :class:`Envelope` is the matching key of every MPI message:
 truncation checks.  Sizes below are the modelled byte weights of the ADI
 header structures (MPID_PKT_*), used so control packets have realistic
 wire footprints.
+
+Both records are immutable, hashable ``NamedTuple`` classes rather than
+frozen dataclasses: one is built per message, and a frozen dataclass
+pays an ``object.__setattr__`` per field in ``__init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """The matching envelope carried by every data/request packet.
 
     ``byte_order`` is the sender's native representation — the ADI's
@@ -40,8 +42,7 @@ class Envelope:
         return True
 
 
-@dataclass(frozen=True)
-class RndvToken:
+class RndvToken(NamedTuple):
     """A rendezvous request as the receiving process remembers it: whom
     to acknowledge, through which device.
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.mpi.adi.packets import Envelope
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.status import Status
 from repro.sim.sync import Flag, Semaphore
 
@@ -49,6 +50,7 @@ class RecvHandle:
         #: Receive buffer capacity in bytes (None = unbounded object recv).
         self.capacity = capacity
         self.flag = Flag(name="rhandle")
+        self.flag.dep_describe = self  # see __call__
         self.status = Status()
         self.data: Any = None
         self.sync: RndvSync | None = None
@@ -62,6 +64,17 @@ class RecvHandle:
         if self.sync is None:
             self.sync = RndvSync(self)
         return self.sync
+
+    def __call__(self) -> str:
+        """What a task blocked on this receive waits for.
+
+        The handle is its flag's ``dep_describe``, which the wait-for
+        graph (:mod:`repro.check.waitgraph`) calls: the text is formatted
+        only if a diagnosis reads it, with no per-receive object to hold.
+        """
+        source, tag = self.source_pattern, self.tag_pattern
+        return (f"recv source={'ANY' if source == ANY_SOURCE else source}"
+                f" tag={'ANY' if tag == ANY_TAG else tag} ctx={self.context_id}")
 
     def accepts(self, envelope: Envelope) -> bool:
         """Envelope matching against this handle's pattern."""

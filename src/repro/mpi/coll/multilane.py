@@ -101,8 +101,7 @@ def _assemble(pieces: list[Any]) -> Any:
 def _run_lanes(comm: "Communicator", generators: list) -> Generator:
     """Run one sub-collective per lane concurrently; list of results."""
     runtime = comm.env.process.runtime
-    # recycle=False: these handles are retained and joined below, which
-    # a recyclable (pooled) task shell does not permit.
+    # recycle=False: these handles are retained and joined below.
     tasks = [runtime.spawn_temporary(gen, name=f"coll-lane{i}", recycle=False)
              for i, gen in enumerate(generators)]
     results = []

@@ -87,7 +87,7 @@ class Communicator:
     @property
     def _peer_size(self) -> int:
         """Valid range bound for dest/source arguments."""
-        return self.size
+        return self.group.size
 
     def _check_live(self) -> None:
         if self.freed:

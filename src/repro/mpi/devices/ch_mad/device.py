@@ -74,7 +74,12 @@ class ChMadDevice(Device):
         self.progress = progress
         self.world_rank = world_rank
         self.ports = dict(ports)
-        self.tuning = dict(tuning or CH_MAD_TUNING)
+        tuning = tuning or CH_MAD_TUNING
+        #: port -> its protocol's tuning, looked up once (read per packet).
+        self.tuning = {port: tuning[base_protocol(name)]
+                       for name, port in self.ports.items()}
+        #: Memo of :meth:`direct_port`: (dest_world, lane) -> port.
+        self._routes: dict[tuple[int, int | None], ChannelPort | None] = {}
         self.switch_points = dict(switch_points or SWITCH_POINTS)
         #: The ADI's single threshold field: the elected value (§4.2.2).
         self.eager_threshold = elect_threshold(ports.keys(),
@@ -86,9 +91,7 @@ class ChMadDevice(Device):
         #: MPID_PKT_MAX_DATA_SIZE buffer instead of the §4.2.2 split —
         #: reproduces the padding waste the paper's design avoids.
         self.padded_short_packets = padded_short_packets
-        #: Channel-selection order (fastest-first by default); overridable
-        #: to steer traffic onto a specific network (Figure 9 experiment).
-        self.preference = tuple(preference or CHANNEL_PREFERENCE)
+        self.preference = preference or CHANNEL_PREFERENCE
         #: Next-hop table for destinations with no shared network
         #: (forwarding extension; empty = paper's §6 limitation applies).
         self.forward_routes = dict(forward_routes or {})
@@ -134,6 +137,7 @@ class ChMadDevice(Device):
         from the survivors — losing SCI, for example, drops the elected
         8 KB back to the survivors' own switch point (§4.2.2).
         """
+        self._routes.clear()
         live = [name for name, port in self.ports.items()
                 if not port.channel.dead]
         if not live:
@@ -204,6 +208,17 @@ class ChMadDevice(Device):
 
     # -- channel selection ---------------------------------------------------------
 
+    @property
+    def preference(self) -> tuple[str, ...]:
+        """Channel-selection order, fastest first by default; assigning it
+        (Figure 9 steers traffic so) re-resolves every route."""
+        return self._preference
+
+    @preference.setter
+    def preference(self, order) -> None:
+        self._preference = tuple(order)
+        self._routes.clear()
+
     def direct_port(self, dest_world: int,
                     lane: int | None = None) -> ChannelPort | None:
         """Fastest channel shared with the destination, if any.
@@ -214,7 +229,21 @@ class ChMadDevice(Device):
         reach the destination (preference order, then name order), so
         lanes land on distinct rails wherever enough exist — and fold
         onto the survivors, modulo, when rails die.
+
+        Every packet asks, so the answer is memoised per ``(dest_world,
+        lane)``.  It depends only on which channels are alive and on
+        :attr:`preference`: a channel death and a new preference drop
+        the memo; :meth:`assign_lane` needs no drop (the lane is in the key).
         """
+        key = (dest_world, lane)
+        try:
+            return self._routes[key]
+        except KeyError:
+            return self._routes.setdefault(
+                key, self._resolve_port(dest_world, lane))
+
+    def _resolve_port(self, dest_world: int,
+                      lane: int | None) -> ChannelPort | None:
         candidates: list[ChannelPort] = []
         for protocol in self.preference:
             for name in sorted(self.ports):
@@ -305,26 +334,28 @@ class ChMadDevice(Device):
         EXPRESS, the body (if any) CHEAPER.
 
         The handling and both packs accrue; end_packing pays them with
-        the NIC's send charge — one event per packet.
+        the NIC's send charge — one event per packet.  Returns the
+        sending generator, like :meth:`_transmit_packet`.
         """
-        tuning = self.tuning[base_protocol(port.channel.protocol)]
-        port.cpu.owe(tuning.send_handling)
+        port.cpu.owe(self.tuning[port].send_handling)
         message = port.begin_packing(hop)
         message.pack(header, header_bytes, SEND_CHEAPER, RECEIVE_EXPRESS)
         if body_bytes > 0:
             message.pack(body, body_bytes, SEND_CHEAPER, RECEIVE_CHEAPER)
-        yield from message.end_packing()
+        return message.end_packing()
 
     def _record_send(self, dest_world: int, header: ChMadHeader,
                      port: ChannelPort, body_size: int) -> None:
         """The ``chmad.send`` trace record and ``chmad.packets`` count of
         one packet leaving on ``port``."""
         engine = self.progress.runtime.engine
-        engine.tracer.emit(
-            "chmad.send", src=self.world_rank, dst=dest_world,
-            pkt=header.pkt_type.name, protocol=port.channel.protocol,
-            body=body_size,
-        )
+        tracer = engine.tracer
+        if tracer.enabled:
+            tracer.emit(
+                "chmad.send", src=self.world_rank, dst=dest_world,
+                pkt=header.pkt_type.name, protocol=port.channel.protocol,
+                body=body_size,
+            )
         ins = engine.instruments
         if ins.enabled:
             ins.count("chmad.packets", 1, pkt=header.pkt_type.name,
@@ -334,7 +365,9 @@ class ChMadDevice(Device):
     def _transmit_packet(self, dest_world: int, header: ChMadHeader,
                          body: Any, body_size: int,
                          wire_body_size: int | None = None) -> Generator:
-        """Send one ch_mad packet, forwarding through a gateway if needed."""
+        """Send one ch_mad packet, forwarding through a gateway if needed:
+        route and stamp it now, return the generator that sends it (for
+        the caller to ``yield from`` — no delegating frame per packet)."""
         checker = self.progress.runtime.engine.checker
         if checker.enabled:
             # Hooked before the forwarding branch: the checker sees each
@@ -350,10 +383,9 @@ class ChMadDevice(Device):
                                      origin=self.world_rank,
                                      header=header, body=body,
                                      body_size=body_size)
-            yield from self.send_wrapped(dest_world, wrapper)
-            return
+            return self.send_wrapped(dest_world, wrapper)
         self._record_send(dest_world, header, port, body_size)
-        yield from self._emit(
+        return self._emit(
             port, dest_world, header, CH_MAD_HEADER_BYTES, body,
             body_size if wire_body_size is None else wire_body_size)
 
@@ -382,16 +414,16 @@ class ChMadDevice(Device):
 
     def send_eager(self, dest_world: int, envelope: Envelope,
                    data: Any) -> Generator:
-        """Eager mode: MAD_SHORT_PKT header + optional CHEAPER body."""
-        header = ChMadHeader(MadPktType.MAD_SHORT_PKT, envelope=envelope)
+        """Eager mode: MAD_SHORT_PKT header + optional CHEAPER body
+        (returns :meth:`_transmit_packet`'s generator)."""
+        header = ChMadHeader(MadPktType.MAD_SHORT_PKT, envelope)
         # The §4.2.2 split: the user buffer goes as the message body
         # (zero-copy on the sending side), never as padding inside a
         # MPID_PKT_MAX_DATA_SIZE-sized short packet — unless the padded
         # ablation is on, which shows exactly that waste.
         wire_size = self._padded_body_size(envelope.size) if envelope.size else 0
-        yield from self._transmit_packet(dest_world, header, data,
-                                         envelope.size,
-                                         wire_body_size=wire_size)
+        return self._transmit_packet(dest_world, header, data, envelope.size,
+                                     wire_size)
 
     def rndv_request(self, dest_world: int, shandle: SendHandle) -> Generator:
         """MAD_REQUEST_PKT — and the choice of data phase.
@@ -443,8 +475,7 @@ class ChMadDevice(Device):
                                                 sync_id, shandle.data,
                                                 envelope.size)
             return
-        protocol = self._protocol_towards(dest_world)
-        tuning = self.tuning[base_protocol(protocol)]
+        tuning = self.tuning[self._port_towards(dest_world)]
         if tuning.rndv_body_ns_per_byte:
             # Driver-side per-byte feeding cost (BIP credit machinery).
             yield charge(round(envelope.size * tuning.rndv_body_ns_per_byte))
@@ -486,13 +517,12 @@ class ChMadDevice(Device):
             dest_world, ChMadHeader(MadPktType.MAD_TERM_PKT), None, 0,
         )
 
-    def _protocol_towards(self, dest_world: int) -> str:
+    def _port_towards(self, dest_world: int) -> ChannelPort:
+        """The port a packet for ``dest_world`` leaves on (maybe via a
+        gateway)."""
         port = self.direct_port(dest_world)
-        if port is not None:
-            return port.channel.protocol
-        hop = self.forward_routes.get(dest_world)
-        if hop is not None:
-            hop_port = self.direct_port(hop)
-            if hop_port is not None:
-                return hop_port.channel.protocol
-        raise RouteError(f"no path towards rank {dest_world}")
+        if port is None and dest_world in self.forward_routes:
+            port = self.direct_port(self.forward_routes[dest_world])
+        if port is None:
+            raise RouteError(f"no path towards rank {dest_world}")
+        return port

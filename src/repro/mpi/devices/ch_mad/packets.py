@@ -17,7 +17,7 @@ Table 2 gap between 0-byte and 4-byte latency).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.mpi.adi.packets import (
     Envelope,
@@ -67,9 +67,9 @@ CH_MAD_HEADER_BYTES = TYPE_FIELD_BYTES + max(
 )
 
 
-@dataclass(frozen=True)
-class ChMadHeader:
-    """The EXPRESS header block of every ch_mad message.
+class ChMadHeader(NamedTuple):
+    """The EXPRESS header block of every ch_mad message (immutable; a
+    ``NamedTuple`` because one is built per packet).
 
     Field usage by type (Figure 5):
 

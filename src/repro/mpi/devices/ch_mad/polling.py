@@ -79,8 +79,7 @@ class ChannelPoller:
     def __init__(self, device: "ChMadDevice", port: ChannelPort):
         self.device = device
         self.port = port
-        from repro.networks import base_protocol
-        self.tuning = device.tuning[base_protocol(port.channel.protocol)]
+        self.tuning = device.tuning[port]
         self.thread = PollingThread(
             device.progress.runtime, port.poll_source(), self.handle
         )
@@ -159,10 +158,9 @@ class RdmaCompletionPoller:
     def __init__(self, device: "ChMadDevice", port: ChannelPort):
         self.device = device
         self.port = port
-        from repro.networks import base_protocol
         from repro.marcel.polling import PollSource
         endpoint = port.endpoint
-        self.tuning = device.tuning[base_protocol(port.channel.protocol)]
+        self.tuning = device.tuning[port]
         source = PollSource(
             name=f"{port.channel.name}.cq@{port.rank}",
             mode=endpoint.params.poll_mode,

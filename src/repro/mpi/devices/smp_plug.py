@@ -16,8 +16,7 @@ Each process runs one cheap event-mode polling thread for its FIFO.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any, Generator, NamedTuple
 
 from repro.errors import ConfigurationError, MPIError
 from repro.marcel.polling import PollMode, PollSource, PollingThread
@@ -45,8 +44,9 @@ class SmpKind(enum.Enum):
     RNDV_DATA = "rndv-data"
 
 
-@dataclass(frozen=True)
-class SmpPacket:
+class SmpPacket(NamedTuple):
+    """One FIFO packet (immutable; a ``NamedTuple``, built per packet)."""
+
     kind: SmpKind
     source_world: int
     envelope: Envelope | None = None

@@ -23,6 +23,9 @@ class Group:
         if any(r < 0 for r in ranks):
             raise MPIRankError(f"negative world rank in group: {ranks}")
         self.world_ranks = ranks
+        #: Number of members (a plain attribute: every rank-bound check
+        #: of every message reads it).
+        self.size = len(ranks)
         #: Lazy world-rank -> group-rank index.  ``rank_of`` runs per
         #: *received message* (status translation), so ``tuple.index``'s
         #: O(size) scan made every receive O(ranks); the dict makes it
@@ -32,21 +35,14 @@ class Group:
 
     # -- introspection ---------------------------------------------------------
 
-    @property
-    def size(self) -> int:
-        return len(self.world_ranks)
-
-    def _rank_index(self) -> dict[int, int]:
+    def rank_of(self, world_rank: int) -> int:
+        """Group rank of ``world_rank`` (UNDEFINED if absent).  O(1)."""
         index = self._index
         if index is None:
             index = self._index = {
                 r: i for i, r in enumerate(self.world_ranks)
             }
-        return index
-
-    def rank_of(self, world_rank: int) -> int:
-        """Group rank of ``world_rank`` (UNDEFINED if absent).  O(1)."""
-        return self._rank_index().get(world_rank, UNDEFINED)
+        return index.get(world_rank, UNDEFINED)
 
     def world_rank(self, group_rank: int) -> int:
         """World rank of group member ``group_rank``."""
@@ -57,7 +53,7 @@ class Group:
         return self.world_ranks[group_rank]
 
     def __contains__(self, world_rank: int) -> bool:
-        return world_rank in self._rank_index()
+        return self.rank_of(world_rank) != UNDEFINED
 
     def compare(self, other: "Group") -> int:
         """IDENT if same ranks in same order, SIMILAR if same set, else

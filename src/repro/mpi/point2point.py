@@ -147,17 +147,19 @@ def send_impl(comm: "Communicator", data: Any, dest: int, tag: int,
     nbytes = infer_size(data) if size is None else int(size)
     device = env.select_device(dest_world)
     envelope = Envelope(context_id, env.rank, tag, nbytes,
-                        byte_order=env.progress.byte_order)
+                        env.progress.byte_order)
     payload = clone_payload(data)
     if synchronous:
         mode = TransferMode.RENDEZVOUS
     else:
         mode = select_mode(nbytes, device.threshold(dest_world))
     engine = env.process.engine
-    engine.tracer.emit(
-        "adi.send", src=env.rank, dst=dest_world, tag=tag, size=nbytes,
-        device=device.name, mode=mode.value,
-    )
+    tracer = engine.tracer
+    if tracer.enabled:
+        tracer.emit(
+            "adi.send", src=env.rank, dst=dest_world, tag=tag, size=nbytes,
+            device=device.name, mode=mode.value,
+        )
     ins = engine.instruments
     if ins.enabled:
         ins.count("adi.mode", 1, mode=mode.value, device=device.name,
@@ -170,7 +172,8 @@ def send_impl(comm: "Communicator", data: Any, dest: int, tag: int,
         # Depth is sampled at ticket time — its natural peak.
         ins.set_gauge("sendgate.depth", gate.depth, rank=env.rank,
                       dest=dest_world)
-    yield from gate.enter(ticket)
+    if gate.current != ticket:
+        yield from gate.enter(ticket)
     if env.ft is not None:
         # Re-check after the gate wait: the peer may have died (or the
         # comm been revoked) while this send was parked behind others.
@@ -184,7 +187,8 @@ def send_impl(comm: "Communicator", data: Any, dest: int, tag: int,
         # Recorded *after* the gate admitted this send: gate order is
         # wire order is MPI stream order (non-overtaking).
         checker.on_send(envelope, dest_world)
-    release = gate.releaser()
+    # Eager: the finally below is the only caller, no call-once wrapper.
+    release = gate.leave if mode is TransferMode.EAGER else gate.releaser()
     try:
         if mode is TransferMode.EAGER:
             yield from device.send_eager(dest_world, envelope, payload)
@@ -299,10 +303,11 @@ def irecv_impl(comm: "Communicator", source: int, tag: int,
             handle.status.failed_rank = failed_rank
             handle.flag.set(handle)
             return RecvRequest(handle, comm)
-    entry = env.progress.unexpected.match(context_id, source_world, tag)
+    progress = env.progress
+    entry = progress.unexpected.match(context_id, source_world, tag)
     if pooled:
-        request = env.progress.acquire_recv(comm, context_id, source_world,
-                                            tag, capacity)
+        request = progress.acquire_recv(comm, context_id, source_world,
+                                        tag, capacity)
     else:
         request = RecvRequest(
             RecvHandle(context_id, source_world, tag, capacity), comm)
@@ -311,16 +316,13 @@ def irecv_impl(comm: "Communicator", source: int, tag: int,
     # the source rank (unknown for MPI_ANY_SOURCE).
     handle.flag.rank_dep = (None if source_world == ANY_SOURCE
                             else source_world)
-    handle.flag.dep_describe = (
-        f"recv source={'ANY' if source_world == ANY_SOURCE else source_world}"
-        f" tag={'ANY' if tag == ANY_TAG else tag} ctx={context_id}")
-    checker = env.process.engine.checker
-    if checker.enabled and entry is not None:
-        checker.on_match(entry.envelope, env.rank)
     if entry is None:
-        env.progress.posted.post(handle)
-        request.posted_queue = env.progress.posted
+        progress.posted.post(handle)
+        request.posted_queue = progress.posted
         return request
+    checker = env.process.engine.checker
+    if checker.enabled:
+        checker.on_match(entry.envelope, env.rank)
     if entry.kind is UnexpectedKind.EAGER:
         if capacity is not None and entry.envelope.size > capacity:
             handle.status.error = ERR_TRUNCATE
@@ -346,7 +348,8 @@ def recv_wait(comm: "Communicator", request: RecvRequest) -> Generator:
     if request.pending_copy_bytes:
         nbytes, request.pending_copy_bytes = request.pending_copy_bytes, 0
         yield charge(comm.env.progress.memory.copy_cost(nbytes))
-    result = yield from request.wait()
+    yield wait(request.handle.flag)  # Request.wait, without its frame
+    result = request._result()
     if request._pooled:
         # Clean completion of a blocking receive: the shell goes back to
         # the free-list (an error above raised past this point, keeping

@@ -176,7 +176,8 @@ class RecvRequest(Request):
         return True
 
     def _result(self) -> tuple[Any, Status]:
-        status = self.handle.status
+        handle = self.handle
+        status = handle.status
         if status.error:
             from repro.mpi.constants import ERR_PROC_FAILED, ERR_REVOKED
             if status.error == ERR_PROC_FAILED:
@@ -190,8 +191,9 @@ class RecvRequest(Request):
                 raise MPIRevokedError("receive failed: communicator revoked")
             raise MPITruncationError(
                 f"message of {status.count} bytes truncates a receive of "
-                f"capacity {self.handle.capacity}"
+                f"capacity {handle.capacity}"
             )
-        if self.comm is not None and status.source_world >= 0:
-            status.source = self.comm._rank_of_world(status.source_world)
-        return self.handle.data, status
+        comm = self.comm
+        if comm is not None and status.source_world >= 0:
+            status.source = comm._rank_of_world(status.source_world)
+        return handle.data, status

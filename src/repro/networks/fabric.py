@@ -16,17 +16,16 @@ Madeleine driver's polling handler) — the fabric only moves bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import NetworkError, RouteError
 from repro.sim.engine import Engine
 from repro.networks.params import ProtocolParams
 
 
-@dataclass(frozen=True)
-class Delivery:
-    """What lands in a receive queue: one complete message.
+class Delivery(NamedTuple):
+    """What lands in a receive queue: one complete message (immutable;
+    a ``NamedTuple`` because one is built per message).
 
     ``payload`` is opaque to the network (the Madeleine driver puts its
     own wire structures there).  ``nbytes`` is the payload size actually
@@ -152,11 +151,10 @@ class NetworkFabric:
         is the endpoint's job (it interleaves charges with chunk posts).
         """
         sent_at = self.engine.now
-        chunks = self.params.chunks(nbytes)
-        last_arrival = sent_at
-        for size in chunks:
-            last_arrival = self.transmit_chunk(src, dst, size,
-                                               extra_latency=extra_latency)
+        sizes = self.params.chunks(nbytes)
+        # Every chunk is ready now: transmit_chunk's rule, chunk by chunk.
+        last_arrival = self.transmit_paced(src, dst, sizes, [0] * len(sizes),
+                                           sent_at, extra_latency)
         self.schedule_delivery(src, dst, nbytes, payload, last_arrival, sent_at)
 
     def schedule_delivery(self, src: Adapter, dst: Adapter, nbytes: int,
@@ -208,9 +206,8 @@ class NetworkFabric:
         key = (src.index, dst.index)
         arrival = max(arrival, self._pair_last.get(key, 0))
         self._pair_last[key] = arrival
-        delivery = Delivery(source=src, dest=dst, nbytes=nbytes,
-                            payload=payload, sent_at=sent_at,
-                            delivered_at=arrival, corrupted=corrupted)
+        delivery = Delivery(src, dst, nbytes, payload, sent_at, arrival,
+                            corrupted)
         self.engine.schedule_at(arrival, self._deliver, delivery)
         return arrival
 
@@ -224,10 +221,13 @@ class NetworkFabric:
         src = delivery.source
         src.bytes_sent += delivery.nbytes
         src.messages_sent += 1
-        self.engine.tracer.emit(
-            "net.deliver", fabric=self.name, src=src.index, dst=dst.index,
-            nbytes=delivery.nbytes, latency=delivery.delivered_at - delivery.sent_at,
-        )
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(
+                "net.deliver", fabric=self.name, src=src.index, dst=dst.index,
+                nbytes=delivery.nbytes,
+                latency=delivery.delivered_at - delivery.sent_at,
+            )
         if dst.rx_sink is None:
             raise NetworkError(
                 f"delivery to adapter {dst.name} with no rx_sink installed"

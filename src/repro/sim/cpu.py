@@ -35,14 +35,8 @@ from repro.sim.coroutines import (
     YieldCPU,
 )
 from repro.sim.engine import Engine
-from repro.sim.ring import Ring
 
 TaskBody = Generator[SystemCall, Any, Any]
-
-#: Free-list capacity for recyclable (temporary) tasks, per CPU.  A rank
-#: rarely has more than a handful of temporary threads in flight; the
-#: pool only needs to cover that churn, not the backlog.
-_TASK_POOL_MAX = 64
 
 #: Compact a CPU's task roster once this many recyclable tasks have
 #: finished since the last compaction.  Deliberately high enough that
@@ -118,10 +112,9 @@ class Task:
         #: accounting: a killed task stays queued but dead, see
         #: ``CPU._discard``).
         self._queued = False
-        #: Recyclable tasks (temporary threads) may be returned to their
-        #: CPU's free-list after finishing cleanly; the spawner promises
-        #: to drop the Task handle (no joins, no done-callbacks added
-        #: after the fact).  See ``CPU._compact_tasks``.
+        #: Recyclable tasks (temporary threads) leave their CPU's roster
+        #: once finished, so a long run does not retain every one of
+        #: them.  See ``CPU._compact_tasks``.
         self.recyclable = False
 
     # -- waitable protocol (join) ------------------------------------------
@@ -167,27 +160,6 @@ class Task:
                 fn(self)
         if self.recyclable:
             self.cpu._note_recyclable_finish()
-
-    def _reinit(self, body: TaskBody, name: str | None, daemon: bool) -> None:
-        """Explicit reset for free-list reuse (``CPU.spawn`` recycling).
-
-        Bumps the class counter exactly like ``__init__`` so default
-        task names stay identical whether or not an object was recycled.
-        Only tasks that finished cleanly (DONE, not queued anywhere) are
-        ever pooled, so the waiter/joiner/callback lists are empty here.
-        """
-        Task._counter += 1
-        self.gen = body
-        self.name = name or f"task-{Task._counter}"
-        self.daemon = daemon
-        self.state = TaskState.NEW
-        self.finished = False
-        self.result = None
-        self.exception = None
-        self.cpu_time = 0
-        self.waiting_on = None
-        self._wake_value = None
-        self._queued = False
 
     def waiting_description(self) -> str:
         """Human-readable description of what this task is blocked on."""
@@ -238,13 +210,7 @@ class CPU:
         self._last_ran: Task | None = None
         self._dispatch_pending = False
         self._tasks: list[Task] = []
-        #: Free-list of recyclable Task shells (see :meth:`spawn`).
-        self._task_pool = Ring(_TASK_POOL_MAX)
         self._finished_recyclable = 0
-        #: True once this CPU's rank died (FT): pools are drained and
-        #: recycling stops — a dead rank's pooled objects must never
-        #: re-enter live traffic.
-        self.pools_retired = False
         self._retire_hooks: list[Callable[[], None]] = []
         #: Total ns this CPU spent busy (charges + switches), diagnostic.
         self.busy_time: int = 0
@@ -257,26 +223,14 @@ class CPU:
               daemon: bool = False, recyclable: bool = False) -> Task:
         """Create a task from a generator (or a zero-arg generator function).
 
-        ``recyclable`` opts the task into the CPU's free-list: after it
-        finishes cleanly its shell may be reset and reused by a later
-        recyclable spawn.  Callers passing it promise to drop the
-        returned handle — never join a recyclable task or register done
-        callbacks on it after it may have finished (the temporary
-        fire-and-forget threads of the MPI device layer qualify; see
-        ``MarcelRuntime.spawn_temporary``).
+        ``recyclable`` lets the roster drop the task once it has finished
+        (:meth:`tasks`): for the temporary fire-and-forget threads of
+        the MPI device layer (``MarcelRuntime.spawn_temporary``).
         """
         if callable(body) and not hasattr(body, "send"):
             body = body()
-        if recyclable and not self.pools_retired:
-            pool = self._task_pool
-            if pool:
-                task = pool.pop()
-                task._reinit(body, name, daemon)
-            else:
-                task = Task(self, body, name=name, daemon=daemon)
-                task.recyclable = True
-        else:
-            task = Task(self, body, name=name, daemon=daemon)
+        task = Task(self, body, name=name, daemon=daemon)
+        task.recyclable = recyclable
         self._tasks.append(task)
         task.state = TaskState.READY
         task._queued = True
@@ -340,7 +294,7 @@ class CPU:
             if not t.finished and not t.daemon and t.state == TaskState.BLOCKED
         ]
 
-    # -- object-pool maintenance -------------------------------------------
+    # -- roster compaction and pool retirement -----------------------------
 
     def _note_recyclable_finish(self) -> None:
         self._finished_recyclable += 1
@@ -348,42 +302,18 @@ class CPU:
             self._compact_tasks()
 
     def _compact_tasks(self) -> None:
-        """Drop finished recyclable tasks from the roster, pooling shells.
-
-        Only tasks that finished cleanly (DONE) and are not still queued
-        as ready-deque tombstones are eligible for the free-list: a
-        KILLED task may linger in a waitable's waiter deque, where a
-        recycled (live-again) shell would be spuriously woken.  Harvested
-        shells clear ``_last_ran`` so a reused identity charges the same
-        context-switch cost a fresh Task object would.
-        """
-        pool = self._task_pool
-        retired = self.pools_retired
-        keep = []
-        for task in self._tasks:
-            if not (task.finished and task.recyclable):
-                keep.append(task)
-                continue
-            if (not retired and task.state is TaskState.DONE
-                    and not task._queued):
-                if self._last_ran is task:
-                    self._last_ran = None
-                task.gen = None  # type: ignore[assignment]
-                pool.push(task)
-        self._tasks[:] = keep
+        """Drop finished recyclable tasks from the roster."""
+        self._tasks[:] = [task for task in self._tasks
+                          if not (task.finished and task.recyclable)]
         self._finished_recyclable = 0
 
     def retire_pools(self) -> None:
-        """FT: drop pooled objects and stop pooling on this CPU forever.
+        """FT: this CPU's rank was killed — fire the retirement hooks.
 
-        Called when this CPU's rank is killed.  The task free-list is
-        emptied, future recyclable spawns allocate fresh, and any
-        registered retirement hooks fire (the rank's progress engine
-        registers its request pools here) — a dead rank's pooled objects
-        must be retired, never recycled into live traffic.
+        The rank's progress engine registers its request free-list here:
+        a dead rank's pooled objects must be retired, never recycled
+        into live traffic.
         """
-        self.pools_retired = True
-        self._task_pool.clear()
         for hook in self._retire_hooks:
             hook()
 

@@ -503,6 +503,21 @@ class Engine:
                     best = percpu[0]
         return best
 
+    def idle_backlog(self) -> int | None:
+        """Live events other than unexposed clock entries — None if one
+        is known to be timed or an exposed clock entry is pending.
+
+        0: inert pollers' entries only (:meth:`schedule_clock`), whose
+        firing just files the next, so whoever is blocked stays blocked.
+        A count: zero-delay events to run before asking again.
+        """
+        by_cpu = self._clock_by_cpu
+        if len(self._queue) > self._cancelled or any(
+                by_cpu[cpu] and by_cpu[cpu][0] <= until
+                for cpu, until in self._clock_exposed.items()):
+            return None
+        return len(self._queue) + len(self._immediate) - self._cancelled
+
     def quiet_now(self) -> bool:
         """True iff no pending event is due at the current time.
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.check import NULL_CHECKER, CheckViolation
 from repro.cluster import ClusterConfig, MPIWorld, NodeSpec
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, MPIRevokedError
 from repro.madeleine import MadeleineSession
 from repro.madeleine.constants import (
     RECEIVE_CHEAPER,
@@ -26,7 +26,9 @@ from repro.marcel import PollingThread
 from repro.mpi.adi.packets import Envelope, RndvToken
 from repro.mpi.devices.ch_mad.packets import ChMadHeader, MadPktType
 from repro.sim import Engine, Mailbox
+from repro.sim.coroutines import sleep
 from repro.sim.engine import EngineConfig, install_checker
+from repro.units import us
 from tests.helpers import linear_cluster
 
 
@@ -117,6 +119,45 @@ def test_sendok_before_request_arrives_is_flagged():
         "rendezvous-handshake"]
     assert checker.violations[0].rank == 1
     assert "'requested'" in checker.violations[0].details
+
+
+@pytest.mark.parametrize("revoke_after_us", [2, 15],
+                         ids=["request-in-flight", "sendok-in-flight"])
+def test_genuine_late_sendok_after_ft_abort_is_accepted_once(revoke_after_us):
+    """The sender revokes between REQUEST and SENDOK; the receiver, alive
+    and not yet aware, still answers.  That one SENDOK (and a request
+    still in flight) is legal — the ADI counts it as ``ft.stale_acks`` —
+    but a second SENDOK for the aborted send is not."""
+    config = ClusterConfig(nodes=[NodeSpec(f"n{i}", networks=("sisci",))
+                                  for i in range(2)], ft=True)
+    world = MPIWorld(config, engine_config=EngineConfig(
+        checker=True, checker_raise=False, instrumentation=True))
+    aborted = []
+
+    def program(mpi):
+        comm = mpi.comm_world
+        if comm.rank == 1:
+            with pytest.raises(MPIRevokedError):
+                yield from comm.recv(source=0, tag=1, size=100_000)
+            return
+        request = comm.issend(b"x", dest=1, tag=1, size=100_000)
+        yield sleep(us(revoke_after_us))
+        aborted.extend(mpi.progress.pending_sends)
+        comm.revoke()
+        with pytest.raises(MPIRevokedError):
+            yield from request.wait()
+        yield sleep(us(100))  # the straggler SENDOK lands
+
+    world.run(program)
+    checker = world.engine.checker
+    assert checker.violations == []
+    assert world.engine.instruments.metrics.total("ft.stale_acks") == 1
+    (send_id,) = aborted
+    again = ChMadHeader(MadPktType.MAD_SENDOK_PKT, send_id=send_id, sync_id=1)
+    checker.on_chmad_send(1, 0, again)
+    checker.on_chmad_recv(0, again)
+    assert [(v.invariant, v.rank) for v in checker.violations] == [
+        ("rendezvous-handshake", 1), ("rendezvous-handshake", 0)]
 
 
 # ---------------------------------------------------------------------------

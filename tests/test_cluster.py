@@ -14,6 +14,8 @@ from repro.cluster import (
 from repro.errors import ConfigurationError, DeadlockError
 from repro.mpi.devices.ch_p4 import ChP4Device
 from repro.mpi.devices.ch_mad import ChMadDevice
+from repro.sim.coroutines import sleep
+from repro.units import ms, us
 
 
 class TestNodeSpec:
@@ -155,11 +157,43 @@ class TestMPIWorldRun:
         world = MPIWorld(two_node_cluster(networks=("tcp",)))
 
         def program(mpi):
-            # TCP pollers tick forever; the mains never finish.
-            yield from mpi.comm_world.recv(source=1 - mpi.rank)
+            # A livelock: the mains never finish and never block.
+            while True:
+                yield sleep(us(1))
 
         with pytest.raises(DeadlockError, match="max_events"):
             world.run(program, max_events=50_000)
+
+    @pytest.mark.parametrize("networks", [("tcp",), ("sisci", "tcp")])
+    def test_recv_cycle_under_idle_pollers_is_diagnosed(self, networks):
+        """Both ranks receive first.  The tcp pollers tick forever, so
+        the queue never drains, but nothing else is left to run: the
+        hang is diagnosed at the first batch boundary (4096 events, plus
+        the zero-delay dispatches the last tick left), without
+        max_events."""
+        world = MPIWorld(two_node_cluster(networks=networks))
+
+        def program(mpi):
+            yield from mpi.comm_world.recv(source=1 - mpi.rank)
+
+        with pytest.raises(DeadlockError, match="idle pollers") as excinfo:
+            world.run(program)
+        assert excinfo.value.cycle == [0, 1]
+        assert world.engine.events_executed < 4096 + 16
+
+    def test_a_sleeping_sender_is_not_a_hang(self):
+        world = MPIWorld(two_node_cluster(networks=("tcp",)))
+
+        def program(mpi):
+            comm = mpi.comm_world
+            if comm.rank == 0:
+                yield sleep(ms(10))
+                yield from comm.send("late", dest=1)
+                return None
+            data, _ = yield from comm.recv(source=0)
+            return data
+
+        assert world.run(program) == [None, "late"]
 
     def test_shutdown_is_idempotent(self):
         world = MPIWorld(two_node_cluster())

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.cluster import MPIWorld, two_node_cluster
+from repro.cluster import ClusterConfig, MPIWorld, NodeSpec, two_node_cluster
 from repro.sim import Engine
 from repro.sim.engine import install_instrumentation
+from repro.sim.trace import NullTracer
 from repro.sim.metrics import (
     Counter,
     Gauge,
@@ -118,6 +119,43 @@ class TestInstrumentationFacade:
         text = ins.report()
         assert "c" in text and "{net=tcp}" in text and "3" in text
         assert "high-water" in text and "p99" in text
+
+
+def _node_mates():
+    return ClusterConfig(nodes=[NodeSpec("n", processes=2)])
+
+
+def _two_nodes(network):
+    def make():
+        config = two_node_cluster(networks=(network,))
+        config.rdma = True  # ib: the rendezvous data phase is one write
+        return config
+    return make
+
+
+@pytest.mark.parametrize("make_config", [
+    _two_nodes("sisci"), _two_nodes("bip"), _two_nodes("tcp"),
+    _two_nodes("ib"), _node_mates,
+], ids=["sisci", "bip", "tcp", "ib-rdma", "smp_plug"])
+def test_switched_off_tracer_is_never_called(monkeypatch, make_config):
+    """Zero cost when off: with tracing off no hot-path site reaches the
+    null tracer, not even to build its keyword dict."""
+    def called(*_args, **_fields):
+        raise AssertionError("NullTracer.emit reached with tracing off")
+
+    monkeypatch.setattr(NullTracer, "emit", called)
+
+    def program(mpi):
+        comm = mpi.comm_world
+        if comm.rank == 0:
+            yield from comm.send(b"eager", dest=1, tag=1, size=64)
+            yield from comm.send(b"rndv", dest=1, tag=2, size=200_000)
+            return None
+        small, _ = yield from comm.recv(source=0, tag=1)
+        large, _ = yield from comm.recv(source=0, tag=2)
+        return small, large
+
+    assert MPIWorld(make_config()).run(program)[1] == (b"eager", b"rndv")
 
 
 class TestStackCounters:

@@ -2,9 +2,18 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig, MPIWorld, NodeSpec, smp_node_cluster
+from repro.cluster import (
+    ClusterConfig,
+    EngineConfig,
+    MPIWorld,
+    NodeSpec,
+    smp_node_cluster,
+)
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, fabric_death
 from repro.mpi.devices.ch_mad.switchpoints import SWITCH_POINTS, elect_threshold
+from repro.sim.coroutines import sleep
+from repro.units import us
 from tests.helpers import run_ranks, run_world
 
 
@@ -224,6 +233,89 @@ class TestChMadChannelSelection:
         # The 4-byte message pays the extra pack/unpack pair (~6.5 us on
         # SCI) that the body-less 0-byte message skips (Table 2 gap).
         assert four.one_way_ns - zero.one_way_ns > 4_000
+
+
+class _Unforgetting(dict):
+    """A route memo that never forgets: the planted bug."""
+
+    def clear(self):
+        pass
+
+
+def _reroute_by_preference(mpi):
+    mpi.inter_device.preference = ("tcp", "sisci")
+    yield from ()
+
+
+def _reroute_by_lane(mpi):
+    # Lanes rotate over every live rail reaching the peer: 1 -> tcp.
+    mpi.inter_device.assign_lane([mpi.comm_world.context_id], 1)
+    yield from ()
+
+
+def _reroute_by_channel_death(mpi):
+    # sisci dies at 200 us; the next message is lost on it until its
+    # retransmissions give up and fail the channel over, so the reply
+    # to it proves the death has been noticed.
+    comm = mpi.comm_world
+    yield sleep(us(300))
+    yield from comm.send("lost on sisci", dest=1, tag=1, size=64)
+    yield from comm.recv(source=1, tag=2)
+
+
+REROUTES = {
+    "preference": (_reroute_by_preference, None),
+    "assign_lane": (_reroute_by_lane, None),
+    "channel_death": (_reroute_by_channel_death,
+                      FaultPlan(fabrics={"sisci": fabric_death(us(200))},
+                                seed=1)),
+}
+
+
+def _protocol_after_reroute(label, planted=False):
+    """Rank 0 sends on sisci, reroutes, sends once more: the protocol the
+    last ch_mad packet left on (its ``chmad.send`` trace record)."""
+    reroute, plan = REROUTES[label]
+    nodes = [NodeSpec(f"n{i}", networks=("sisci", "tcp")) for i in range(2)]
+    world = MPIWorld(ClusterConfig(nodes=nodes, fault_plan=plan),
+                     engine_config=EngineConfig(instrumentation=True))
+    if planted:
+        for env in world.envs:
+            env.inter_device._routes = _Unforgetting()
+
+    def program(mpi):
+        comm = mpi.comm_world
+        if comm.rank == 1:
+            for _ in range(3 if plan else 2):
+                yield from comm.recv(source=0, tag=1)
+                yield from comm.send("ok", dest=0, tag=2, size=8)
+            return None
+        yield from comm.send("first", dest=1, tag=1, size=64)
+        yield from comm.recv(source=1, tag=2)
+        yield from reroute(mpi)
+        yield from comm.send("rerouted", dest=1, tag=1, size=64)
+        yield from comm.recv(source=1, tag=2)
+        return None
+
+    world.run(program)
+    sends = world.engine.tracer.select("chmad.send", src=0)
+    assert sends[0]["protocol"] == "sisci"
+    return sends[-1]["protocol"]
+
+
+class TestRouteMemo:
+    """``ChMadDevice.direct_port`` resolves a route once per (peer,
+    lane); these pin that a reroute still reaches the next packet."""
+
+    @pytest.mark.parametrize("label", REROUTES)
+    def test_next_packet_leaves_on_the_new_route(self, label):
+        assert _protocol_after_reroute(label) == "tcp"
+
+    # assign_lane needs no invalidation (the lane is part of the key), so
+    # only these two reroutes can catch a memo that never forgets.
+    @pytest.mark.parametrize("label", ["preference", "channel_death"])
+    def test_a_memo_that_never_forgets_is_caught(self, label):
+        assert _protocol_after_reroute(label, planted=True) == "sisci"
 
 
 class TestMultiProtocolSession:

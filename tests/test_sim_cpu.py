@@ -346,7 +346,7 @@ def test_two_cpus_run_concurrently(engine):
 
 
 # ---------------------------------------------------------------------------
-# Task shell recycling (the PR-8 free-list)
+# Roster compaction of recyclable (temporary) tasks
 # ---------------------------------------------------------------------------
 
 def _noop():
@@ -354,41 +354,11 @@ def _noop():
     yield  # pragma: no cover - generator marker
 
 
-def test_recyclable_shell_is_pooled_and_reused(engine, cpu):
-    first = cpu.spawn(_noop, name="temp", recyclable=True)
-    engine.run()
-    assert first.state is TaskState.DONE
-    cpu._compact_tasks()  # normally threshold-triggered
-    assert first not in cpu.tasks()
-    assert len(cpu._task_pool) == 1
-    second = cpu.spawn(_noop, name="temp2", recyclable=True)
-    assert second is first  # same shell, fresh identity
-    assert second.state is TaskState.READY  # enqueued like a fresh spawn
-    assert second.name == "temp2"
-    assert not second.finished
-    engine.run()
-    assert second.result == "ok"
-
-
 def test_non_recyclable_spawns_never_pool(engine, cpu):
     task = cpu.spawn(_noop, name="keep")
     engine.run()
     cpu._compact_tasks()
     assert task in cpu.tasks()  # stays on the roster for joins
-    assert len(cpu._task_pool) == 0
-
-
-def test_killed_recyclable_shell_is_never_pooled(engine, cpu):
-    def victim():
-        yield wait(Semaphore(0, name="never"))
-
-    blocked = cpu.spawn(victim(), name="victim", recyclable=True)
-    engine.run()
-    blocked.kill()
-    cpu._compact_tasks()
-    assert len(cpu._task_pool) == 0, (
-        "KILLED shells may linger in waiter deques; recycling one would "
-        "allow a spurious wake of its next identity")
 
 
 def test_compaction_triggers_at_threshold(engine, cpu):
@@ -399,7 +369,6 @@ def test_compaction_triggers_at_threshold(engine, cpu):
     engine.run()
     # The threshold-th finish compacted the roster automatically.
     assert cpu._finished_recyclable < _TASK_COMPACT_MIN
-    assert len(cpu._task_pool) > 0
     assert all(not (t.finished and t.recyclable) for t in cpu.tasks())
 
 
@@ -409,32 +378,23 @@ def test_recycled_identity_charges_switch_cost(engine):
     def worker():
         yield charge(100)
 
-    task = cpu.spawn(worker(), recyclable=True)
+    cpu.spawn(worker(), recyclable=True)
     engine.run()
     cpu._compact_tasks()
     busy_before = cpu.busy_time
-    again = cpu.spawn(worker(), recyclable=True)
-    assert again is task
+    cpu.spawn(worker(), recyclable=True)
     engine.run()
-    # A recycled shell is a *new* thread: it pays the context switch a
-    # fresh Task object would (150) plus its own work (100).
+    # The next temporary thread is a *new* thread, although the last one
+    # to run left the roster: it pays the context switch (150) plus its
+    # own work (100).
     assert cpu.busy_time - busy_before == 250
 
 
 def test_retire_pools_clears_and_disables(engine, cpu):
     fired = []
     cpu.on_retire_pools(lambda: fired.append(True))
-    done = cpu.spawn(_noop, recyclable=True)
-    engine.run()
-    cpu._compact_tasks()
-    assert len(cpu._task_pool) == 1
     cpu.retire_pools()
     assert fired == [True]
-    assert cpu.pools_retired
-    assert len(cpu._task_pool) == 0
-    fresh = cpu.spawn(_noop, recyclable=True)
-    assert fresh is not done
-    assert not fresh.recyclable  # retired CPUs mint plain tasks only
 
 
 # -- owed time (CPU.owe) ------------------------------------------------------
