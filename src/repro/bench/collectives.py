@@ -13,8 +13,8 @@ warmup repetitions, so the steady-state cost is what gets reported —
 matching how these algorithms amortize in applications.
 
 ``python -m repro`` reaches this through the ``coll_bench`` runner
-executor (:mod:`repro.workloads.executors`); ``benchmarks/perf/collperf.py``
-sweeps it and maintains ``BENCH_collectives.json``.
+executor (:mod:`repro.workloads.executors`); ``benchmarks/perf/guard.py``
+pins its flat/hier/multilane sweep in ``BENCH_guard.json``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ the transfer machinery underneath the same program: ``True`` is the
 zero-copy rendezvous-over-RDMA path (and the true ``rdma_read`` fast
 path for gets), ``False`` is the packetized ablation — large messages
 chunked through the ch_mad packet state machine.  The acceptance
-criterion lives in ``benchmarks/perf/rmaperf.py``: RDMA must beat the
+criterion lives in ``benchmarks/perf/guard.py``: RDMA must beat the
 packetized path by >= 1.3x on large messages.
 
 The measured span is barrier-to-completion: both ranks barrier, rank 0
@@ -16,8 +16,8 @@ the same discipline as :mod:`repro.bench.collectives`, so fence overhead
 (count exchange + barrier) is charged identically to every variant.
 
 ``python -m repro`` reaches this through the ``rma_bench`` runner
-executor (:mod:`repro.workloads.executors`); ``benchmarks/perf/rmaperf.py``
-sweeps it and maintains ``BENCH_rma.json``.
+executor (:mod:`repro.workloads.executors`); ``benchmarks/perf/guard.py``
+pins its sweep in ``BENCH_guard.json``.
 """
 
 from __future__ import annotations

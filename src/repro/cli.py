@@ -38,6 +38,7 @@ from repro.runner import (
     Runner,
     default_cache_dir,
     default_workers,
+    digest_mismatches,
 )
 
 
@@ -184,20 +185,16 @@ def cmd_sweep(args) -> int:
     if args.goldens:
         with open(args.goldens) as fh:
             golden = json.load(fh)
-        mismatches = []
-        for job_digest, want in golden["jobs"].items():
-            got = digests.get(job_digest)
-            if got != want:
-                mismatches.append((job_digest, want, got))
-        extra = set(digests) - set(golden["jobs"])
-        if mismatches or extra:
-            for job_digest, want, got in mismatches:
+        mismatches = digest_mismatches(digests, golden["jobs"])
+        extra = sum(want is None for _, want, _ in mismatches)
+        for job_digest, want, got in mismatches:
+            if want is not None:
                 print(f"MISMATCH job {job_digest[:12]}: golden "
                       f"{want[:12]} != measured "
                       f"{(got or 'missing')[:12]}", file=sys.stderr)
-            if extra:
-                print(f"{len(extra)} job(s) not present in goldens",
-                      file=sys.stderr)
+        if extra:
+            print(f"{extra} job(s) not present in goldens", file=sys.stderr)
+        if mismatches:
             status = 1
         else:
             print(f"all {len(golden['jobs'])} result digests match "

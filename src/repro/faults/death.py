@@ -130,9 +130,10 @@ class FailureDetector:
             if died_at is not None:
                 ins.observe("ft.detection_latency_ns",
                             self.engine.now - died_at, reason=reason)
-            ins.emit("ft.peer_death", rank=rank, reason=reason,
-                     silent_ns=self.silent_for(rank))
-        self.engine.tracer.emit("ft.peer_death", rank=rank, reason=reason)
+        # One record per declaration: with instrumentation on, the
+        # facade's tracer *is* engine.tracer.
+        self.engine.tracer.emit("ft.peer_death", rank=rank, reason=reason,
+                                silent_ns=self.silent_for(rank))
         self._drain_traffic_toward(rank)
         for listener in list(self._listeners):
             self.engine.call_soon(listener, rank)
@@ -213,7 +214,6 @@ class DeathController:
         ins = self.engine.instruments
         if ins.enabled:
             ins.count("faults.node_deaths", 1)
-            ins.emit("fault.node_death", rank=rank)
         self.engine.tracer.emit("fault.node_death", rank=rank)
         for task in list(process.runtime.cpu.live_tasks()):
             task.kill()

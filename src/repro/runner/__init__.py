@@ -27,6 +27,7 @@ from repro.runner.spec import (
     JobResult,
     JobSpec,
     canonical_json,
+    digest_mismatches,
     payload_digest,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "canonical_json",
     "default_cache_dir",
     "default_workers",
+    "digest_mismatches",
     "execute",
     "payload_digest",
     "register",

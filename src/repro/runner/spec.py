@@ -42,6 +42,20 @@ def payload_digest(payload: Any) -> str:
     return sha256(canonical_json(payload).encode()).hexdigest()
 
 
+def digest_mismatches(measured: Mapping[str, str], golden: Mapping[str, str]
+                      ) -> list[tuple[str, str | None, str | None]]:
+    """Jobs whose result digest differs from the golden one.
+
+    Both maps are job digest -> result digest.  Each mismatch is
+    ``(job digest, golden, measured)``, with None on the side that lacks
+    the job; an empty list means every result is bit-identical.
+    """
+    mismatches = [(job, want, measured.get(job))
+                  for job, want in golden.items() if measured.get(job) != want]
+    return mismatches + [(job, None, got) for job, got in measured.items()
+                         if job not in golden]
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One batch job: an executor kind plus its parameters and seed.

@@ -18,9 +18,8 @@ wall-clock, see DESIGN.md "Simulator performance"):
   merely compares the two queue heads, preserving the exact global
   ordering a single heap would produce;
 - internal fire-and-forget events (charge completions, sleeper wakes,
-  dispatches) are recycled through a free pool via :meth:`call_soon` /
-  :meth:`schedule_discard`, whose callers promise not to retain the
-  handle;
+  dispatches) go through :meth:`call_soon` / :meth:`schedule_discard`,
+  which build no handle for the caller;
 - cancellation is lazy (O(1)) with an O(1) live-event counter behind
   :meth:`pending`; when cancelled events outnumber live ones the queues
   are compacted so a cancel-heavy workload (retransmit timers) cannot
@@ -130,18 +129,16 @@ class Event:
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_engine",
-                 "_pooled", "_done")
+                 "_done")
 
     def __init__(self, time: int, seq: int, callback: Callable[..., Any],
-                 args: tuple, engine: "Engine | None" = None,
-                 pooled: bool = False):
+                 args: tuple, engine: "Engine | None" = None):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
         self._engine = engine
-        self._pooled = pooled
         self._done = False
 
     def cancel(self) -> None:
@@ -164,9 +161,6 @@ class Event:
 #: Compaction is considered once at least this many cancelled events are
 #: queued (tiny queues are not worth rebuilding).
 _COMPACT_MIN = 64
-
-#: Upper bound on the recycled-Event free pool.
-_POOL_MAX = 1024
 
 
 class Engine:
@@ -205,7 +199,6 @@ class Engine:
         self._clock_exposed: dict[Any, int] = {}
         #: Cancelled events still sitting in either queue.
         self._cancelled: int = 0
-        self._pool: list[Event] = []
         self._running = False
         #: Number of events executed so far (diagnostic).
         self.events_executed: int = 0
@@ -296,33 +289,22 @@ class Engine:
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> None:
         """Queue ``callback(*args)`` at the current time (no handle).
 
-        Internal fast path: the event is drawn from the free pool and
-        recycled after it fires, so the caller must not retain it — use
-        :meth:`schedule` when a cancellable handle is needed.  Ordering
-        is identical to ``schedule(0, ...)``.
+        Internal fast path: no handle is returned — use :meth:`schedule`
+        when a cancellable one is needed.  Ordering is identical to
+        ``schedule(0, ...)``.
         """
-        if self._pool:
-            event = self._pool.pop()
-            event.time = self._now
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event._done = False
-        else:
-            event = Event(self._now, self._seq, callback, args, engine=self,
-                          pooled=True)
+        self._immediate.append(
+            Event(self._now, self._seq, callback, args, self))
         self._seq += 1
-        self._immediate.append(event)
 
     def schedule_discard(self, delay: int, callback: Callable[..., Any],
                          *args: Any) -> None:
         """Schedule a fire-and-forget event ``delay`` ns from now.
 
-        Like :meth:`call_soon` but timed: the Event is pooled and no
-        handle is returned, so the callback site must never need to
-        cancel it.  The CPU scheduler's charge completions and sleeper
-        wakes — the bulk of all timed events — go through here.
+        Like :meth:`call_soon` but timed: no handle is returned, so the
+        callback site must never need to cancel it.  The CPU scheduler's
+        charge completions and sleeper wakes — the bulk of all timed
+        events — go through here.
         """
         if delay <= 0:
             if delay < 0:
@@ -330,26 +312,17 @@ class Engine:
             self.call_soon(callback, *args)
             return
         time = self._now + int(delay)
-        if self._pool:
-            event = self._pool.pop()
-            event.time = time
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event._done = False
-        else:
-            event = Event(time, self._seq, callback, args, engine=self,
-                          pooled=True)
-        self._seq += 1
-        heapq.heappush(self._queue, (time, event.seq, event))
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue,
+                       (time, seq, Event(time, seq, callback, args, self)))
 
     def schedule_clock(self, delay: int, cpu: Any,
                        callback: Callable[..., Any], *args: Any) -> None:
         """Schedule a self-clock event of an idle poller on ``cpu``.
 
-        Pooled and fire-and-forget like :meth:`schedule_discard`, with
-        the same ``(time, seq)`` — :meth:`step_batch` merges all three
+        Fire-and-forget like :meth:`schedule_discard`, with the same
+        ``(time, seq)`` — :meth:`step_batch` merges all three
         queues, so execution order is exactly what one heap would give —
         but filed in the clock queue.  The caller vouches that ``cpu``'s
         poller is *inert*: its mailbox is empty and nothing else is
@@ -359,19 +332,10 @@ class Engine:
         call :meth:`expose_clock`.
         """
         time = self._now + int(delay)
-        if self._pool:
-            event = self._pool.pop()
-            event.time = time
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event._done = False
-        else:
-            event = Event(time, self._seq, callback, args, engine=self,
-                          pooled=True)
-        self._seq += 1
-        heapq.heappush(self._clock_queue, (time, event.seq, event, cpu))
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._clock_queue,
+                       (time, seq, Event(time, seq, callback, args, self), cpu))
         percpu = self._clock_by_cpu.get(cpu)
         if percpu is None:
             percpu = self._clock_by_cpu[cpu] = []
@@ -408,28 +372,14 @@ class Engine:
         a callback must not strand those aliases on a dead snapshot.
         """
         queue = self._queue
-        for entry in queue:
-            event = entry[2]
-            if event.cancelled:
-                self._release(event)
         queue[:] = [entry for entry in queue if not entry[2].cancelled]
         heapq.heapify(queue)
         immediate = self._immediate
         if any(event.cancelled for event in immediate):
             keep = [event for event in immediate if not event.cancelled]
-            for event in immediate:
-                if event.cancelled:
-                    self._release(event)
             immediate.clear()
             immediate.extend(keep)
         self._cancelled = 0
-
-    def _release(self, event: Event) -> None:
-        """Return a pooled event to the free list (drop payload refs)."""
-        if event._pooled and len(self._pool) < _POOL_MAX:
-            event.callback = None  # type: ignore[assignment]
-            event.args = ()
-            self._pool.append(event)
 
     # -- execution --------------------------------------------------------
 
@@ -443,10 +393,10 @@ class Engine:
         immediate = self._immediate
         while immediate and immediate[0].cancelled:
             self._cancelled -= 1
-            self._release(immediate.popleft())
+            immediate.popleft()
         while queue and queue[0][2].cancelled:
             self._cancelled -= 1
-            self._release(heapq.heappop(queue)[2])
+            heapq.heappop(queue)
         best: int | None = None
         if immediate:
             best = immediate[0].time
@@ -477,10 +427,10 @@ class Engine:
         immediate = self._immediate
         while immediate and immediate[0].cancelled:
             self._cancelled -= 1
-            self._release(immediate.popleft())
+            immediate.popleft()
         while queue and queue[0][2].cancelled:
             self._cancelled -= 1
-            self._release(heapq.heappop(queue)[2])
+            heapq.heappop(queue)
         best: int | None = None
         if immediate:
             best = immediate[0].time
@@ -559,7 +509,6 @@ class Engine:
         queue = self._queue
         immediate = self._immediate
         clock = self._clock_queue
-        pool = self._pool
         executed = 0
         check_stop = stop_flag is not None
         while executed < limit:
@@ -600,7 +549,6 @@ class Engine:
                 heapq.heappop(self._clock_by_cpu[entry[3]])
             if event.cancelled:
                 self._cancelled -= 1
-                self._release(event)
                 continue
             # Marked done on pop: a cancel() arriving while (or after) the
             # callback runs must not touch the queued-cancelled counter.
@@ -609,10 +557,6 @@ class Engine:
             self._now = now
             self.events_executed += 1
             event.callback(*event.args)
-            if event._pooled and len(pool) < _POOL_MAX:
-                event.callback = None  # type: ignore[assignment]
-                event.args = ()
-                pool.append(event)
             executed += 1
             # Same-timestamp sweep: while neither timed heap holds an
             # entry due *now*, every deque head at `now` is the global
@@ -633,15 +577,10 @@ class Engine:
                 immediate.popleft()
                 if event.cancelled:
                     self._cancelled -= 1
-                    self._release(event)
                     continue
                 event._done = True
                 self.events_executed += 1
                 event.callback(*event.args)
-                if event._pooled and len(pool) < _POOL_MAX:
-                    event.callback = None  # type: ignore[assignment]
-                    event.args = ()
-                    pool.append(event)
                 executed += 1
         return executed
 

@@ -35,14 +35,16 @@ from typing import Any, Callable, Generator
 
 import numpy as np
 
+from repro.cluster.config import multirail_smp_cluster
 from repro.cluster.node import ClusterConfig, NodeSpec
+from repro.errors import ConfigurationError
 from repro.faults import lossy_plan
 from repro.sim.engine import seed_namespace
 from repro.mpi import coll
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.reduce_ops import MAX, SUM
 
-from repro.workloads.registry import Workload, register
+from repro.workloads.registry import Param, Workload, register
 
 # The flat zoo, fetched from the registry.
 _BCAST_ZOO = {name: coll.get("bcast", name).fn
@@ -428,6 +430,46 @@ def _build_lossy(workload_seed: int):
     return config, _mixed_program(messages, wildcard)
 
 
+# ---------------------------------------------------------------------------
+# ring_exchange: the large-world probe (mostly idle, rank +- 1 traffic)
+# ---------------------------------------------------------------------------
+
+def _build_ring_exchange(workload_seed: int, *, ranks: int, rounds: int):
+    del workload_seed
+    if ranks % 4:
+        raise ConfigurationError(
+            f"ring_exchange: ranks={ranks} is not a multiple of 4")
+    config = multirail_smp_cluster(nodes=ranks // 4, processes_per_node=4,
+                                   rails=1, network="sisci")
+
+    def program(mpi):
+        comm = mpi.comm_world
+        rank, size = comm.rank, comm.size
+        right, left = (rank + 1) % size, (rank - 1) % size
+        payload = b"x" * 64
+        received = 0
+        for _ in range(rounds):
+            # Even ranks send first, odd ranks receive first; an eager
+            # 64-byte payload makes either order deadlock-free.
+            if rank % 2 == 0:
+                yield from comm.send(payload, dest=right, tag=1)
+                data, _ = yield from comm.recv(source=left, tag=1)
+                received += len(data)
+                yield from comm.send(payload, dest=left, tag=2)
+                data, _ = yield from comm.recv(source=right, tag=2)
+                received += len(data)
+            else:
+                data, _ = yield from comm.recv(source=left, tag=1)
+                received += len(data)
+                yield from comm.send(payload, dest=right, tag=1)
+                data, _ = yield from comm.recv(source=right, tag=2)
+                received += len(data)
+                yield from comm.send(payload, dest=left, tag=2)
+        return received
+
+    return config, program
+
+
 register(Workload("pingpong", "2-rank eager latency loop on SCI",
                   _build_pingpong))
 register(Workload("collectives", "every collective algorithm variant, "
@@ -445,3 +487,9 @@ register(Workload("rank_death", "a seed-chosen rank dies mid-job; survivors "
 register(Workload("rma_storm", "one-sided Put/Get/Accumulate fence epochs "
                   "plus a p2p ring, 4 ranks on lossy IB+TCP",
                   _build_rma_storm))
+register(Workload(
+    "ring_exchange", "neighbour exchange on 4-rank SMP nodes over one SCI "
+    "rail: the large-world probe", _build_ring_exchange,
+    params={"ranks": Param(8, "world size (a multiple of 4)"),
+            "rounds": Param(4, "exchange rounds (two messages per "
+                            "neighbour each)")}))

@@ -1,8 +1,9 @@
 """The unified workload registry and the :class:`Workload` protocol.
 
-The fuzzer, the batch runner's job kinds and the ``benchmarks/perf/``
-drivers all need "a program plus the cluster it runs on"; registering
-it once here is what keeps them from drifting apart.
+The fuzzer, the batch runner's job kinds and the exact-behaviour guard
+(``benchmarks/perf/guard.py``) all need "a program plus the cluster it
+runs on"; registering it once here is what keeps them from drifting
+apart.
 
 :class:`Workload` is the one description all front ends share:
 
@@ -30,8 +31,7 @@ it once here is what keeps them from drifting apart.
     :func:`run` when instrumentation is on.
 ``tags``
     Capability markers: ``"fuzz"`` workloads appear in the fuzz sweep,
-    ``"macro"`` marks the application-shaped drivers benched by
-    ``benchmarks/perf/macroperf.py``.
+    ``"macro"`` marks the application-shaped drivers.
 
 Register once with :func:`register`; the workload is then runnable via
 ``python -m repro run --workload NAME``, sweepable/cacheable through the

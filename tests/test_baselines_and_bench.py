@@ -161,78 +161,85 @@ class TestSweeps:
         assert [r.size for r in results] == [1, 2, 3]
 
 
-class TestSimPerfSuite:
-    """Smoke the wall-clock micro-benchmark harness (quick probes only)."""
+class TestGuard:
+    """The exact-behaviour guard (``benchmarks/perf/guard.py``) on a
+    handful of real points and on plants in its committed record."""
+
+    #: Cheap points covering four job kinds and one ratio of each sign.
+    LABELS = ("ring_exchange@8x4", "mpi:tcp:1024Bx30", "mpi:tcp:4B",
+              "put/rdma@65536", "put/packet@65536",
+              "allreduce/default@64", "allreduce/hier@64")
 
     @pytest.fixture(scope="class")
-    def simperf(self):
+    def guard(self):
         import importlib.util
         from pathlib import Path
 
         path = (Path(__file__).resolve().parents[1]
-                / "benchmarks" / "perf" / "simperf.py")
-        spec = importlib.util.spec_from_file_location("simperf", path)
+                / "benchmarks" / "perf" / "guard.py")
+        spec = importlib.util.spec_from_file_location("guard", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module
 
-    def test_quick_suite_produces_positive_rates(self, simperf):
-        record = simperf.run_suite(quick=True)
-        assert record["schema"] == "simperf/1"
-        probes = record["probes"]
-        assert probes["engine_throughput"]["events_per_sec"] > 0
-        assert probes["pingpong_rate"]["events_per_sec"] > 0
-        # Quick mode skips the expensive end-to-end figure probe.
-        assert "figure6_wall" not in probes
-
-    def test_quick_pingpong_latency_matches_golden(self, simperf):
-        # The probe must measure the same simulated machine the golden
-        # digests pin (reps differ, so only one_way min is comparable).
-        result = simperf.pingpong_rate(size=1024, reps=8)
-        assert result["one_way_ns"] == 256816
-
-    def test_baseline_check_is_exact_about_what_the_probes_compute(
-            self, simperf):
-        """Wall-clock is toleranced; virtual times and the event count
-        are not."""
-        import copy
-
-        baseline = {"probes": {
-            "figure6_wall": {"seconds": 1.0, "latency_checksum": 77},
-            "pingpong_rate": {"size": 1024, "reps": 30, "one_way_ns": 500,
-                              "events_executed": 1600}}}
-
-        def failures(**edits):
-            record = copy.deepcopy(baseline)
-            for probe, fields in edits.items():
-                record["probes"][probe].update(fields)
-            return simperf.check_baseline(record, baseline, 0.30)
-
-        assert failures() == []
-        assert failures(figure6_wall={"seconds": 1.29}) == []
-        assert failures(pingpong_rate={"events_executed": 1500}) == []
-        assert "wall-clock" in failures(figure6_wall={"seconds": 1.31})[0]
-        assert "checksum" in failures(
-            figure6_wall={"latency_checksum": 78})[0]
-        assert "one_way_ns" in failures(pingpong_rate={"one_way_ns": 501})[0]
-        assert "more events" in failures(
-            pingpong_rate={"events_executed": 1601})[0]
-        # A --quick run (other reps, no figure) has nothing exact to say.
-        assert failures(pingpong_rate={"reps": 8, "one_way_ns": 1,
-                                       "events_executed": 9999}) == []
-
-    def test_committed_baseline_parses_and_matches_schema(self, simperf):
+    @pytest.fixture(scope="class")
+    def record(self, guard):
         import json
-        from pathlib import Path
 
-        baseline_path = Path(__file__).resolve().parents[1] / "BENCH_simperf.json"
-        baseline = json.loads(baseline_path.read_text())
-        assert baseline["schema"] == "simperf/1"
-        assert baseline["probes"]["figure6_wall"]["latency_checksum"] == 395655228
-        before = baseline["before"]["probes"]
-        after = baseline["probes"]
-        # The record must demonstrate the >= 2x figure6 acceptance target.
-        assert before["figure6_wall"]["seconds"] >= \
-            2.0 * after["figure6_wall"]["seconds"]
-        assert before["figure6_wall"]["latency_checksum"] == \
-            after["figure6_wall"]["latency_checksum"]
+        return json.loads(guard.RECORD.read_text())
+
+    @pytest.fixture(scope="class")
+    def results(self, guard):
+        from repro.runner import Runner
+
+        specs = {spec.label: spec for spec in guard.points()}
+        return Runner().run([specs[label] for label in self.LABELS])
+
+    @staticmethod
+    def _planted(results, label, **fields):
+        import dataclasses
+
+        from repro.runner import payload_digest
+
+        out = []
+        for result in results:
+            if result.spec.label == label:
+                payload = {**result.payload, **fields}
+                result = dataclasses.replace(
+                    result, payload=payload,
+                    result_digest=payload_digest(payload))
+            out.append(result)
+        return out
+
+    def test_clean_record_passes(self, guard, record, results):
+        assert all(result.ok for result in results)
+        assert guard.check(results, record) == []
+
+    def test_one_ns_drift_fails_and_names_the_point(self, guard, record,
+                                                    results):
+        drifted = self._planted(results, "mpi:tcp:1024Bx30",
+                                one_way_ns=256_817)
+        assert guard.check(drifted, record) == [
+            "mpi:tcp:1024Bx30: result drifted (one_way_ns 256816 -> 256817)"]
+
+    def test_hier_not_beating_flat_fails_and_names_the_ratio(
+            self, guard, record, results):
+        flat = record["points"]["allreduce/default@64"]["payload"]["mean_ns"]
+        planted = self._planted(results, "allreduce/hier@64", mean_ns=flat)
+        failures = guard.check(planted, record)
+        assert failures[0].startswith("allreduce/hier@64: result drifted")
+        assert failures[1:] == [
+            "hier/flat allreduce @64 ranks: 1.000x does not hold"]
+
+    def test_committed_record_is_the_declared_grid(self, guard, record):
+        from repro.runner import payload_digest
+
+        pinned = record["points"]
+        assert {label: entry["job"] for label, entry in pinned.items()} == \
+            {spec.label: spec.digest for spec in guard.points()}
+        for label, entry in pinned.items():
+            assert payload_digest(entry["payload"]) == entry["result"], label
+        payloads = {label: entry["payload"] for label, entry in pinned.items()}
+        assert guard.figure6_checksum(payloads) == \
+            record["figure6_tcp_latency_checksum"] == 395655228
+        assert [holds for _, _, holds in guard.ratios(payloads)] == [True] * 15

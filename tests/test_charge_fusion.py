@@ -12,7 +12,7 @@ no longer exists, so the reference is a record:
 that exist on both sides (``MPIWorld.run``, ``raw_madeleine_pingpong``).
 Every test below recomputes and compares exactly.
 
-The last two tests assert the point of the change as counts.
+The last three tests assert the point of the change as counts.
 """
 
 from __future__ import annotations
@@ -308,6 +308,14 @@ def test_sisci_small_round_trip_takes_at_most_16_events():
     short = mpi_point("sisci", True, 4, round_trips=10)["events"]
     long = mpi_point("sisci", True, 4, round_trips=110)["events"]
     assert (long - short) / 100 <= 16
+
+
+def test_tcp_1kib_pingpong_takes_at_most_1634_events():
+    """The 30-rep 1 KiB tcp ping-pong: 1 634 events once the poll ticks
+    are skipped and the charges fused, at an unchanged one-way time."""
+    point = mpi_point("tcp", True, 1024, round_trips=30)
+    assert point["one_way_ns"] == 256_816
+    assert point["events"] <= 1634
 
 
 def test_tcp_bulk_send_events_do_not_grow_with_chunk_count():

@@ -92,6 +92,26 @@ class TestRankDeathRecovery:
                      if m.name == "ft.detection_latency_ns"]
         assert latencies and latencies[0].count >= 1
 
+    def test_each_death_is_traced_once(self):
+        # With instrumentation on, the facade's tracer *is*
+        # engine.tracer: one record per death and per declaration, each
+        # carrying every field.
+        config = ClusterConfig(
+            nodes=_nodes(3),
+            fault_plan=FaultPlan.node_death(rank=1, at=us(250)),
+        )
+        world = MPIWorld(config, engine_config=EngineConfig(
+            instrumentation=True))
+        world.run(_recovery_program)
+        tracer, metrics = world.engine.tracer, world.engine.instruments.metrics
+        deaths = tracer.select("fault.node_death")
+        assert [(r.time, r["rank"]) for r in deaths] == [(250_000, 1)]
+        assert metrics.total("faults.node_deaths") == 1
+        declared = tracer.select("ft.peer_death")
+        assert len(declared) == metrics.total("ft.peer_deaths") >= 1
+        for record in declared:
+            assert set(record.fields) == {"rank", "reason", "silent_ns"}
+
     def test_recovery_is_deterministic(self):
         _w1, first = self._run()
         _w2, second = self._run()

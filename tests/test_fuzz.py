@@ -101,7 +101,8 @@ def test_unfuzzed_run_is_the_deterministic_baseline():
 def test_workloads_registry_is_complete():
     assert set(WORKLOADS) == {"pingpong", "collectives", "hier_collectives",
                               "multilane", "mixed", "lossy", "rank_death",
-                              "rma_storm", "ml_training", "cfd_halo"}
+                              "rma_storm", "ml_training", "cfd_halo",
+                              "ring_exchange"}
     for workload in WORKLOADS.values():
         assert workload.description
         assert "fuzz" in workload.tags  # every bundled workload is fuzzable

@@ -1,6 +1,7 @@
 """Scale/stress tests: larger worlds, heavy collectives, meta-clusters."""
 
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, MPIWorld, NodeSpec, cluster_of_clusters
 from repro.cluster.config import multirail_smp_cluster
+from repro import workloads
 from repro.mpi.reduce_ops import SUM
 from tests.helpers import linear_cluster, run_world
 
@@ -110,6 +112,19 @@ class TestThousandRankScale:
         second = _run_512(budget_assert=False)
         assert first == second, (
             "512-rank run is not bit-identical across two builds")
+
+    @pytest.mark.skipif(os.environ.get("REPRO_SOAK") != "1",
+                        reason="set REPRO_SOAK=1 to run the 1024-rank storm")
+    def test_1024_rank_million_event_storm(self):
+        # The ring_exchange probe at 1024 ranks, long enough to execute
+        # a million engine events in one world; its virtual time grows
+        # by exactly 48 308 ns a round.
+        config, program = workloads.get("ring_exchange").instantiate(
+            params={"ranks": 1024, "rounds": 57})
+        world = MPIWorld(config)
+        assert world.run(program) == [57 * 128] * 1024
+        assert world.engine.now == 600 + 57 * 48_308
+        assert world.engine.events_executed >= 1_000_000
 
 
 class TestMetaClusterScale:

@@ -204,30 +204,6 @@ def test_schedule_discard_rejects_negative_delay():
         Engine().schedule_discard(-1, lambda: None)
 
 
-def test_pooled_events_are_recycled():
-    engine = Engine()
-    engine.schedule_discard(1, lambda: None)
-    engine.run()
-    assert len(engine._pool) == 1
-    recycled = engine._pool[0]
-    engine.schedule_discard(1, lambda: None)
-    assert not engine._pool
-    engine.run()
-    assert engine._pool[0] is recycled
-
-
-def test_public_schedule_handles_are_never_pooled():
-    """schedule() returns a cancellable handle; recycling it would let a
-    stale cancel() kill an unrelated future event."""
-    engine = Engine()
-    event = engine.schedule(1, lambda: None)
-    engine.run()
-    assert not engine._pool
-    event.cancel()  # after execution: must be a no-op
-    engine.schedule(1, lambda: None)
-    assert engine.pending() == 1
-
-
 def test_cancel_after_execution_does_not_corrupt_pending():
     engine = Engine()
     event = engine.schedule(1, lambda: None)
