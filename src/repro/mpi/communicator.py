@@ -20,7 +20,6 @@ from repro.errors import MPICommError, MPIDatatypeError
 from repro.mpi import coll as _collreg
 from repro.mpi import collectives as _coll
 from repro.mpi import point2point as _p2p
-from repro.mpi.adi.device import clone_payload
 from repro.mpi.constants import (
     ANY_SOURCE,
     ANY_TAG,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.mpi.adi.device import Device, ProgressEngine, clone_payload
+from repro.mpi.adi.device import Device, ProgressEngine
 from repro.mpi.adi.packets import Envelope, RndvToken
 from repro.mpi.adi.rhandle import SendHandle
 from repro.sim.coroutines import charge
@@ -34,7 +34,7 @@ class ChSelfDevice(Device):
         yield charge(SELF_OVERHEAD)
         # The single self-copy; deliver_eager is told not to charge again.
         yield charge(self.progress.memory.copy_cost(envelope.size))
-        yield from self.progress.deliver_eager(envelope, clone_payload(data),
+        yield from self.progress.deliver_eager(envelope, data,
                                                charge_copy=False)
 
     # Rendezvous is never selected by size (the threshold is unbounded),
@@ -50,7 +50,7 @@ class ChSelfDevice(Device):
                   sync_id: int) -> Generator:
         yield charge(self.progress.memory.copy_cost(shandle.envelope.size))
         yield from self.progress.deliver_rndv_data(
-            sync_id, shandle.envelope, clone_payload(shandle.data)
+            sync_id, shandle.envelope, shandle.data
         )
 
     def send_rndv_ack(self, token: RndvToken, sync_id: int) -> Generator:

@@ -20,7 +20,7 @@ from typing import Any, Generator, NamedTuple
 
 from repro.errors import ConfigurationError, MPIError
 from repro.marcel.polling import PollMode, PollSource, PollingThread
-from repro.mpi.adi.device import Device, ProgressEngine, clone_payload
+from repro.mpi.adi.device import Device, ProgressEngine
 from repro.mpi.adi.packets import Envelope, RndvToken
 from repro.mpi.adi.rhandle import SendHandle
 from repro.sim.coroutines import charge
@@ -108,7 +108,7 @@ class SmpPlugDevice(Device):
         # enqueue cost + copy into the shared FIFO
         yield charge(SMP_OVERHEAD + self.progress.memory.copy_cost(envelope.size))
         self._post_to(dest_world, SmpPacket(SmpKind.EAGER, self.world_rank,
-                                            envelope, clone_payload(data)))
+                                            envelope, data))
 
     def rndv_request(self, dest_world: int, shandle: SendHandle) -> Generator:
         yield charge(SMP_OVERHEAD)
@@ -124,7 +124,7 @@ class SmpPlugDevice(Device):
                      + self.progress.memory.copy_cost(shandle.envelope.size))
         self._post_to(dest_world, SmpPacket(SmpKind.RNDV_DATA, self.world_rank,
                                             shandle.envelope,
-                                            data=clone_payload(shandle.data),
+                                            data=shandle.data,
                                             sync_id=sync_id))
 
     def send_rndv_ack(self, token: RndvToken, sync_id: int) -> Generator:

@@ -128,8 +128,10 @@ def send_impl(comm: "Communicator", data: Any, dest: int, tag: int,
     MPI_Ssend semantics: completion implies the receive has started
     (the acknowledgement only comes once a matching receive exists).
 
-    ``ticket`` is an ordering ticket already issued at isend call time;
-    blocking sends issue their own on entry.
+    ``ticket`` is an ordering ticket already issued at isend call time,
+    where the payload was detached too; blocking sends issue their own
+    ticket and detach their payload on entry.  Devices pass the detached
+    payload on without copying it again.
     """
     _check_rank(comm, dest, wildcard=False, what="destination")
     _check_tag(tag, wildcard=False)
@@ -148,7 +150,7 @@ def send_impl(comm: "Communicator", data: Any, dest: int, tag: int,
     device = env.select_device(dest_world)
     envelope = Envelope(context_id, env.rank, tag, nbytes,
                         env.progress.byte_order)
-    payload = clone_payload(data)
+    payload = clone_payload(data) if ticket is None else data
     if synchronous:
         mode = TransferMode.RENDEZVOUS
     else:

@@ -73,18 +73,22 @@ class Request:
         """
         if not requests:
             raise MPIRequestError("waitany over an empty request list")
-        from repro.sim.coroutines import wait as _wait
-        from repro.sim.sync import Flag
         while True:
             done, index, result = Request.testany(requests)
             if done:
                 return index, result
             # Block until any request's flag fires: register a one-shot
-            # forwarding waiter on every pending flag.
+            # forwarding waiter on every pending flag, and take it back
+            # from the flags that did not fire.
             wake = Flag(name="waitany")
-            for request in requests:
-                request._flag._waiters.append(_FlagForwarder(wake))
-            yield _wait(wake)
+            forwarder = _FlagForwarder(wake)
+            flags = [request._flag for request in requests]
+            for flag in flags:
+                flag._waiters.append(forwarder)
+            yield wait(wake)
+            for flag in flags:
+                if not flag.is_set:
+                    flag._waiters.remove(forwarder)
 
     @staticmethod
     def waitsome(requests: list["Request"]) -> Generator:

@@ -8,6 +8,12 @@ rendezvous protocol relies on (the sender-side thread releases a semaphore
 that a receiver-side thread on a different node blocks on is *not* done —
 all cross-node signalling goes through the network models; these primitives
 are only shared between threads of one simulated process).
+
+Waiter queues are plain lists: a 1024-rank world holds thousands of
+primitives that never see a waiter, or only one at a time, and an empty
+list costs under a tenth of an empty ``collections.deque`` (whose first
+64-slot block is allocated up front).  The only FIFO that can grow deep,
+a mailbox's item queue, gets its deque on the first item that waits.
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ class Waitable(Protocol):
         ...  # pragma: no cover
 
 
-def _pop_live(waiters: deque) -> "Task | None":
+def _pop_live(waiters: list) -> "Task | None":
     """Pop the first waiter that is still alive (killed tasks are skipped)."""
     while waiters:
-        task = waiters.popleft()
+        task = waiters.pop(0)
         if not task.finished:
             return task
     return None
@@ -51,7 +57,7 @@ class Semaphore:
             raise SimulationError("semaphore initial value must be >= 0")
         self.value = value
         self.name = name or "sem"
-        self._waiters: deque["Task"] = deque()
+        self._waiters: list["Task"] = []
 
     def _try_acquire(self, task: "Task") -> tuple[bool, Any]:
         if self.value > 0:
@@ -84,7 +90,7 @@ class Mutex:
         self.name = name or "mutex"
         self.locked = False
         self.owner: "Task | None" = None
-        self._waiters: deque["Task"] = deque()
+        self._waiters: list["Task"] = []
 
     def _try_acquire(self, task: "Task") -> tuple[bool, Any]:
         if not self.locked:
@@ -119,7 +125,7 @@ class Flag:
         self.name = name or "flag"
         self.is_set = False
         self.value: Any = None
-        self._waiters: deque["Task"] = deque()
+        self._waiters: list["Task"] = []
 
     def _try_acquire(self, task: "Task") -> tuple[bool, Any]:
         if self.is_set:
@@ -133,7 +139,7 @@ class Flag:
             return
         self.is_set = True
         self.value = value
-        waiters, self._waiters = self._waiters, deque()
+        waiters, self._waiters = self._waiters, []
         for task in waiters:
             if not task.finished:
                 task.cpu.make_ready(task, value)
@@ -149,8 +155,10 @@ class Mailbox:
 
     def __init__(self, name: str | None = None):
         self.name = name or "mailbox"
-        self._items: deque[Any] = deque()
-        self._waiters: deque["Task"] = deque()
+        #: Queued items: the empty tuple until the first item has to
+        #: wait (see :meth:`_queue`), a deque from then on.
+        self._items: deque[Any] | tuple = ()
+        self._waiters: list["Task"] = []
         #: Set by a periodic polling thread to its CPU: a queued item
         #: ends that poller's inertness, so :meth:`post` re-exposes the
         #: CPU's hidden self-clock events (``Engine.expose_clock``).
@@ -168,10 +176,18 @@ class Mailbox:
         if task is not None:
             task.cpu.make_ready(task, item)
         else:
-            self._items.append(item)
+            self._queue(item)
             cpu = self.poller_cpu
             if cpu is not None:
                 cpu.engine.expose_clock(cpu)
+
+    def _queue(self, item: Any) -> None:
+        """Queue ``item`` for a later receiver.  The deque is made on the
+        first item that actually waits: most mailboxes hand every item
+        straight to a blocked receiver and never need one."""
+        if not isinstance(self._items, deque):
+            self._items = deque()
+        self._items.append(item)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -250,12 +266,12 @@ class MailboxSelect:
 
     def _fire(self, mailbox: "Mailbox", item: Any) -> None:
         if self._fired:  # pragma: no cover - defensive (finished guards)
-            mailbox._items.append(item)
+            mailbox._queue(item)
             return
         self._fired = True
         task = self._task
         if task is None or task.finished:  # pragma: no cover - defensive
-            mailbox._items.append(item)
+            mailbox._queue(item)
             return
         task.cpu.make_ready(task, (mailbox, item))
 
@@ -273,7 +289,7 @@ class Condition:
 
     def __init__(self, name: str | None = None):
         self.name = name or "cond"
-        self._waiters: deque["Task"] = deque()
+        self._waiters: list["Task"] = []
 
     def _try_acquire(self, task: "Task") -> tuple[bool, Any]:
         self._waiters.append(task)

@@ -306,7 +306,7 @@ class TestInvariantPlants:
         # Negative plant: force a shell at the retired pool and check the
         # free-list never hands it back out.
         planted = progress.acquire_recv(None, WORLD_CONTEXT, 0, 0, None)
-        progress._recv_pool.push(planted)
+        progress._recv_pool.append(planted)
         fresh = progress.acquire_recv(None, WORLD_CONTEXT, 0, 0, None)
         assert fresh is not planted, (
             "a retired recv pool must not recycle shells")

@@ -1,5 +1,6 @@
 """Tests for device selection, ch_self, smp_plug, ch_mad specifics."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -12,6 +13,7 @@ from repro.cluster import (
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, fabric_death
 from repro.mpi.devices.ch_mad.switchpoints import SWITCH_POINTS, elect_threshold
+from repro.mpi.request import Request
 from repro.sim.coroutines import sleep
 from repro.units import us
 from tests.helpers import run_ranks, run_world
@@ -119,6 +121,45 @@ class TestSmpPlug:
         # Single node world: drop inter-node requirement.
         results = run_world(program, config)
         assert results[1] == 200_000
+
+    def test_a_send_copies_its_payload_once(self):
+        """Eager isend, eager send and rendezvous isend over smp_plug:
+        one ndarray copy each, taken at the MPI call.  The receiver gets
+        the sender's values in a buffer of its own."""
+
+        class Counted(np.ndarray):
+            copies = 0
+
+            def __array_finalize__(self, obj):
+                if obj is not None and self.base is None:
+                    Counted.copies += 1
+
+        sizes = (16, 16, 32 * 1024 // 8)  # the last one is rendezvous
+        sent = [np.full(n, float(i)).view(Counted)
+                for i, n in enumerate(sizes)]
+
+        def program(mpi):
+            comm = mpi.comm_world
+            if comm.rank == 0:
+                first = comm.isend(sent[0], dest=1, tag=0)
+                sent[0][:] = -1.0  # invisible: detached at isend time
+                yield from comm.send(sent[1], dest=1, tag=1)
+                last = comm.isend(sent[2], dest=1, tag=2)
+                yield from Request.waitall([first, last])
+                return None
+            received = []
+            for tag in range(3):
+                data, _ = yield from comm.recv(source=0, tag=tag)
+                received.append(data)
+            return received
+
+        received = run_world(program, smp_node_cluster(
+            nodes=1, processes_per_node=2))[1]
+        assert Counted.copies == 3
+        for i, (data, original) in enumerate(zip(received, sent)):
+            assert data is not original
+            assert not np.shares_memory(data, original)
+            assert data.shape == (sizes[i],) and (data == float(i)).all()
 
     def test_smp_faster_than_network(self):
         """Intra-node latency must be far below inter-node latency."""

@@ -59,6 +59,29 @@ class TestWaitany:
 
         assert run_ranks(program)[0] == 0
 
+    def test_pending_flags_keep_no_waiters_after_return(self):
+        """A waitany loop draining 32 irecvs: each call takes its wake-up
+        forwarders back from the flags that did not fire."""
+        def program(mpi):
+            from repro.sim.coroutines import sleep
+            from repro.units import us
+            comm = mpi.comm_world
+            if comm.rank == 0:
+                pending = [comm.irecv(source=1, tag=t) for t in range(32)]
+                leftovers = []
+                while pending:
+                    index, _ = yield from Request.waitany(pending)
+                    del pending[index]
+                    leftovers.append(sum(len(r._flag._waiters)
+                                         for r in pending))
+                return leftovers
+            for t in reversed(range(32)):
+                yield sleep(us(50))
+                yield from comm.send(t, dest=0, tag=t)
+            return None
+
+        assert run_ranks(program)[0] == [0] * 32
+
 
 class TestWaitsome:
     def test_collects_simultaneous_completions(self):

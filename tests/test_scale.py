@@ -1,5 +1,7 @@
 """Scale/stress tests: larger worlds, heavy collectives, meta-clusters."""
 
+import collections
+import gc
 import hashlib
 import os
 import tracemalloc
@@ -88,9 +90,9 @@ def _run_512(budget_assert: bool):
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     if budget_assert:
-        # ~13 KiB/rank construction + run-time state today (~12 MiB
-        # total); the budget has ~3x slack so only a *superlinear*
-        # regression (the O(ranks^2) tables this PR removed) trips it.
+        # ~9 KiB/rank to construct, ~28 MiB traced peak with the run
+        # (Python 3.11); the budget's slack is there so only a
+        # *superlinear* regression (an O(ranks^2) table) trips it.
         assert peak < 40 * 1024 * 1024, (
             f"512-rank world peaked at {peak / 2**20:.1f} MiB traced "
             f"memory (budget 40 MiB)")
@@ -106,6 +108,25 @@ def _run_512(budget_assert: bool):
 
 class TestThousandRankScale:
     """The PR-8 scaling guard: big worlds must stay cheap *and* exact."""
+
+    def test_an_idle_rank_holds_at_most_one_deque(self):
+        # Idle primitives queue waiters in lists and a mailbox makes its
+        # deque on the first item that waits: a built rank keeps only
+        # its CPU's ready queue (an empty deque is a 64-slot block).
+        def deques():
+            gc.collect()
+            return sum(1 for o in gc.get_objects()
+                       if type(o) is collections.deque)
+
+        before = deques()
+        world = MPIWorld(multirail_smp_cluster(nodes=64,
+                                               processes_per_node=4,
+                                               rails=1))
+        built = deques() - before
+        assert built <= 256 + 1, (  # + the engine's zero-delay queue
+            f"a built 256-rank world holds {built / 256:.2f} deques per "
+            f"rank")
+        del world
 
     def test_512_rank_world_memory_and_determinism(self):
         first = _run_512(budget_assert=True)
