@@ -3,9 +3,9 @@
 Layering follows MPICH (Figure 1 of the paper):
 
 - **Generic part** — :mod:`~repro.mpi.communicator` (groups, contexts,
-  communicators), :mod:`~repro.mpi.collectives` (collective operations
-  built on point-to-point), :mod:`~repro.mpi.datatypes` (the datatype
-  engine).
+  communicators), :mod:`~repro.mpi.coll` (collective algorithms built
+  on point-to-point, and their registry), :mod:`~repro.mpi.datatypes`
+  (the datatype engine).
 - **ADI** — :mod:`~repro.mpi.adi`: request handles, posted/unexpected
   queues with envelope matching, eager/rendezvous protocol selection,
   and the abstract device interface.

@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.mpi import collectives as _coll
-from repro.mpi.collectives import _crecv, _csend
 from repro.mpi.reduce_ops import Op
 
-from repro.mpi.coll.flat import allreduce_recursive_doubling
+from repro.mpi.coll import flat as _flat
+from repro.mpi.coll.flat import _crecv, _csend, allreduce_recursive_doubling
 from repro.mpi.coll.registry import register
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,7 +84,7 @@ def hier_comms(comm: "Communicator") -> Generator:
     # locally — the ``split_type()`` mechanism.
     from repro.mpi.communicator import Communicator
     from repro.mpi.group import Group
-    yield from _coll.barrier(comm)
+    yield from _flat.barrier(comm)
     context = comm.env.allocate_context()
     if is_leader:
         leader_comm = Communicator(
@@ -97,12 +96,14 @@ def hier_comms(comm: "Communicator") -> Generator:
     cache = HierComms(node_comm, leader_comm, node_of, leader_of_node,
                       leader_index_of_node, contiguous)
     comm._hier_cache = cache
+    comm._derived_comms += tuple(sub for sub in (node_comm, leader_comm)
+                                 if sub is not None)
     return cache
 
 
 def bcast_hier(comm: "Communicator", obj: Any, root: int = 0) -> Generator:
     """root -> its node leader -> all leaders -> intra-node fan-out."""
-    _coll._check_root(comm, root)
+    _flat._check_root(comm, root)
     hier = yield from hier_comms(comm)
     tag = comm._coll_tag()  # every rank, in lockstep (even if unused)
     root_node = hier.node_of[root]
@@ -113,27 +114,27 @@ def bcast_hier(comm: "Communicator", obj: Any, root: int = 0) -> Generator:
         elif comm.rank == root_leader:
             obj = yield from _crecv(comm, root, tag)
     if hier.leader_comm is not None:
-        obj = yield from _coll.bcast(hier.leader_comm, obj,
+        obj = yield from _flat.bcast(hier.leader_comm, obj,
                                      hier.leader_index_of_node[root_node])
-    obj = yield from _coll.bcast(hier.node_comm, obj, 0)
+    obj = yield from _flat.bcast(hier.node_comm, obj, 0)
     return obj
 
 
 def reduce_hier(comm: "Communicator", obj: Any, op: Op,
                 root: int = 0) -> Generator:
     """Intra-node reduce -> leader reduce -> hand to ``root``."""
-    _coll._check_root(comm, root)
+    _flat._check_root(comm, root)
     hier = yield from hier_comms(comm)
     if not op.commutative and not hier.contiguous:
         # Scattered placement breaks rank-order folding; stay flat.
-        result = yield from _coll.reduce(comm, obj, op, root)
+        result = yield from _flat.reduce(comm, obj, op, root)
         return result
     tag = comm._coll_tag()
     root_node = hier.node_of[root]
     root_leader = hier.leader_of_node[root_node]
-    value = yield from _coll.reduce(hier.node_comm, obj, op, 0)
+    value = yield from _flat.reduce(hier.node_comm, obj, op, 0)
     if hier.leader_comm is not None:
-        value = yield from _coll.reduce(
+        value = yield from _flat.reduce(
             hier.leader_comm, value, op,
             hier.leader_index_of_node[root_node])
     if root != root_leader:
@@ -157,38 +158,38 @@ def allreduce_hier(comm: "Communicator", obj: Any, op: Op) -> Generator:
     """
     hier = yield from hier_comms(comm)
     if not op.commutative and not hier.contiguous:
-        result = yield from _coll.allreduce(comm, obj, op)
+        result = yield from _flat.allreduce(comm, obj, op)
         return result
-    value = yield from _coll.reduce(hier.node_comm, obj, op, 0)
+    value = yield from _flat.reduce(hier.node_comm, obj, op, 0)
     if hier.leader_comm is not None:
         value = yield from allreduce_recursive_doubling(
             hier.leader_comm, value, op)
-    value = yield from _coll.bcast(hier.node_comm, value, 0)
+    value = yield from _flat.bcast(hier.node_comm, value, 0)
     return value
 
 
 def barrier_hier(comm: "Communicator") -> Generator:
     """Arrival gather per node, leader barrier, intra-node release."""
     hier = yield from hier_comms(comm)
-    yield from _coll.gather(hier.node_comm, None, 0)
+    yield from _flat.gather(hier.node_comm, None, 0)
     if hier.leader_comm is not None:
-        yield from _coll.barrier(hier.leader_comm)
-    yield from _coll.bcast(hier.node_comm, None, 0)
+        yield from _flat.barrier(hier.leader_comm)
+    yield from _flat.bcast(hier.node_comm, None, 0)
 
 
 def allgather_hier(comm: "Communicator", obj: Any) -> Generator:
     """Node gather -> leader allgather -> intra-node bcast."""
     hier = yield from hier_comms(comm)
     mine = (comm.rank, obj)
-    local = yield from _coll.gather(hier.node_comm, mine, 0)
+    local = yield from _flat.gather(hier.node_comm, mine, 0)
     out = None
     if hier.leader_comm is not None:
-        groups = yield from _coll.allgather(hier.leader_comm, local)
+        groups = yield from _flat.allgather(hier.leader_comm, local)
         out = [None] * comm.size
         for group in groups:
             for rank, value in group:
                 out[rank] = value
-    out = yield from _coll.bcast(hier.node_comm, out, 0)
+    out = yield from _flat.bcast(hier.node_comm, out, 0)
     return out
 
 

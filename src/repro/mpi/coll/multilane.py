@@ -28,10 +28,10 @@ from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
-from repro.mpi import collectives as _coll
 from repro.mpi.reduce_ops import MIN, Op
 from repro.sim.coroutines import wait
 
+from repro.mpi.coll import flat as _flat
 from repro.mpi.coll.registry import register
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,7 +50,7 @@ def lane_comms(comm: "Communicator") -> Generator:
         return cached
     device = comm.env.inter_device
     local = device.lane_count() if hasattr(device, "lane_count") else 1
-    width = yield from _coll.allreduce(comm, int(local), MIN)
+    width = yield from _flat.allreduce(comm, int(local), MIN)
     width = max(1, int(width))
     lanes = []
     for index in range(width):
@@ -60,6 +60,7 @@ def lane_comms(comm: "Communicator") -> Generator:
                                index)
         lanes.append(lane)
     comm._lane_cache = lanes
+    comm._derived_comms += tuple(lanes)
     return lanes
 
 
@@ -121,11 +122,11 @@ def allreduce_multilane(comm: "Communicator", obj: Any, op: Op) -> Generator:
     lanes = yield from lane_comms(comm)
     if (len(lanes) < 2 or not isinstance(obj, np.ndarray)
             or obj.size < len(lanes)):
-        result = yield from _coll.allreduce(comm, obj, op)
+        result = yield from _flat.allreduce(comm, obj, op)
         return result
     parts = np.array_split(obj.reshape(-1), len(lanes))
     reduced = yield from _run_lanes(comm, [
-        _lane_op(_coll.allreduce, lane, part, op)
+        _lane_op(_flat.allreduce, lane, part, op)
         for lane, part in zip(lanes, parts)])
     flat = np.concatenate([np.asarray(part).reshape(-1) for part in reduced])
     return flat.reshape(obj.shape)
@@ -134,11 +135,11 @@ def allreduce_multilane(comm: "Communicator", obj: Any, op: Op) -> Generator:
 def bcast_multilane(comm: "Communicator", obj: Any,
                     root: int = 0) -> Generator:
     """Broadcast one payload slice per rail, concurrently."""
-    _coll._check_root(comm, root)
+    _flat._check_root(comm, root)
     lanes = yield from lane_comms(comm)
     width = len(lanes)
     if width < 2:
-        result = yield from _coll.bcast(comm, obj, root)
+        result = yield from _flat.bcast(comm, obj, root)
         return result
     if comm.rank == root:
         pieces = _split_payload(obj, width)
@@ -147,7 +148,7 @@ def bcast_multilane(comm: "Communicator", obj: Any,
     else:
         pieces = [None] * width
     received = yield from _run_lanes(comm, [
-        _lane_op(_coll.bcast, lane, piece, root)
+        _lane_op(_flat.bcast, lane, piece, root)
         for lane, piece in zip(lanes, pieces)])
     if comm.rank == root:
         return obj
@@ -164,13 +165,13 @@ def allgather_multilane(comm: "Communicator", obj: Any) -> Generator:
     lanes = yield from lane_comms(comm)
     width = len(lanes)
     if width < 2:
-        result = yield from _coll.allgather(comm, obj)
+        result = yield from _flat.allgather(comm, obj)
         return result
     pieces = _split_payload(obj, width)
     if pieces is None:
         pieces = [("raw", obj)] + [("none",)] * (width - 1)
     per_lane = yield from _run_lanes(comm, [
-        _lane_op(_coll.allgather, lane, piece)
+        _lane_op(_flat.allgather, lane, piece)
         for lane, piece in zip(lanes, pieces)])
     return [_assemble([per_lane[lane][rank] for lane in range(width)])
             for rank in range(comm.size)]

@@ -1,26 +1,22 @@
 """The collective-algorithm registry (selection by ``(operation, name)``).
 
-Every collective algorithm the simulator knows — the flat defaults from
-:mod:`repro.mpi.collectives`, the classic MPICH zoo, the node-aware
+Every collective algorithm the simulator knows — the flat defaults and
+the classic MPICH zoo (:mod:`repro.mpi.coll.flat`), the node-aware
 hierarchical family and the multi-lane decompositions — registers here
 under its operation ("bcast", "allreduce", ...) and a short name.  The
-same implementation is then reachable three ways, in precedence order:
+same implementation is then reachable two ways, in precedence order:
 
-1. per call:        ``yield from comm.allreduce(x, algorithm="hier")``
-2. per communicator: ``comm.set_coll_algorithm("allreduce", "hier")``
-3. globally:        ``EngineConfig(coll_algorithm="allreduce=hier")`` or
-                    the ``REPRO_COLL_ALG`` environment variable.
+1. per call:  ``yield from comm.allreduce(x, algorithm="hier")``
+2. run-wide:  ``EngineConfig(coll_algorithm="allreduce=hier")``
 
-With no selection anywhere, :func:`resolve` returns the exact default
-callables from :mod:`repro.mpi.collectives`, so unselected runs are
-bit-identical (same virtual time, same traffic) to the pre-registry
-simulator.
+With no selection, :func:`resolve` runs the ``"default"`` entry, the flat
+function of the operation's own name.
 
 A selection string is either one bare name (applied to every operation
 that registers it) or a comma list of ``operation=name`` pairs::
 
-    REPRO_COLL_ALG=hier
-    REPRO_COLL_ALG=allreduce=multilane,bcast=binomial
+    hier
+    allreduce=multilane,bcast=binomial
 
 Unknown operations or names raise
 :class:`~repro.errors.ConfigurationError` at parse time —
@@ -30,7 +26,6 @@ any rank runs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator
 
@@ -41,13 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Operations the registry covers (the selectable subset of the
 #: collective API; scan/exscan/reduce_scatter/alltoallv have a single
-#: implementation each and stay direct).
+#: implementation each and are called directly).
 OPERATIONS = ("barrier", "bcast", "reduce", "allreduce",
               "gather", "scatter", "allgather", "alltoall")
-
-#: Environment variable consulted when neither the call, the
-#: communicator nor the engine config selects an algorithm.
-ENV_VAR = "REPRO_COLL_ALG"
 
 
 @dataclass(frozen=True)
@@ -107,7 +98,7 @@ def parse_selection(text: str) -> dict[str, str]:
     A bare name selects that algorithm for every operation registering
     it; ``op=name`` pairs pin individual operations.  Raises
     :class:`~repro.errors.ConfigurationError` on unknown operations or
-    names, so a bad ``EngineConfig``/env var fails before the first rank
+    names, so a bad ``EngineConfig`` fails before the first rank
     runs rather than mid-collective.
     """
     selection: dict[str, str] = {}
@@ -132,33 +123,12 @@ def parse_selection(text: str) -> dict[str, str]:
     return selection
 
 
-def _engine_selection(engine) -> dict[str, str]:
-    """The engine-wide selection: ``EngineConfig.coll_algorithm`` if set
-    (validated by ``apply_config``), else ``REPRO_COLL_ALG``, else {}.
-
-    Cached on the engine so the environment is read once per run —
-    selection is part of the run's configuration, not live state.
-    """
-    selection = getattr(engine, "coll_selection", None)
-    if selection is None:
-        text = os.environ.get(ENV_VAR, "")
-        selection = parse_selection(text) if text else {}
-        engine.coll_selection = selection
-    return selection
-
-
 def resolve(comm: "Communicator", operation: str,
             name: str | None = None) -> Callable[..., Generator]:
-    """The callable to run for ``operation`` on ``comm``.
-
-    Precedence: explicit ``name`` (per call) > the communicator's
-    :meth:`~repro.mpi.communicator.Communicator.set_coll_algorithm`
-    table > the engine-wide selection > ``"default"``.
-    """
+    """The callable to run for ``operation`` on ``comm``: ``name`` if
+    given (per call), else the run-wide ``EngineConfig.coll_algorithm``
+    selection, else ``"default"``."""
     if name is None:
-        name = comm._coll_algorithms.get(operation)
-    if name is None:
-        name = _engine_selection(comm.env.process.engine).get(operation)
-    if name is None:
-        name = "default"
+        name = comm.env.process.engine.coll_selection.get(operation,
+                                                          "default")
     return get(operation, name).fn

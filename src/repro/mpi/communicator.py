@@ -16,9 +16,9 @@ from typing import Any, Generator, Sequence
 
 import numpy as np
 
-from repro.errors import MPICommError, MPIDatatypeError
+from repro.errors import MPICommError, MPIDatatypeError, MPIError
 from repro.mpi import coll as _collreg
-from repro.mpi import collectives as _coll
+from repro.mpi.coll import flat as _flat
 from repro.mpi import point2point as _p2p
 from repro.mpi.constants import (
     ANY_SOURCE,
@@ -51,14 +51,15 @@ class Communicator:
         self.freed = False
         #: Attribute cache (MPI keyval mechanism, per-communicator).
         self._attributes: dict[Any, Any] = {}
-        #: Per-communicator collective algorithm selection
-        #: (operation -> registry name); see :meth:`set_coll_algorithm`.
-        self._coll_algorithms: dict[str, str] = {}
         if env.ft is not None:
             env.ft.register_comm(self)
 
     #: True on intercommunicators (MPI_Comm_test_inter).
     is_inter = False
+    #: Subcommunicators the hierarchical and multi-lane collective
+    #: families derived from this one (a failed collective poisons
+    #: them too; see :meth:`~repro.mpi.ft.FTState.collective_failed`).
+    _derived_comms: tuple["Communicator", ...] = ()
 
     @property
     def size(self) -> int:
@@ -361,7 +362,7 @@ class Communicator:
         yield charge(self.env.progress.memory.copy_cost(nbytes))
 
     # =====================================================================
-    # collectives (object flavour; see repro.mpi.collectives)
+    # collectives (object flavour; algorithms in repro.mpi.coll)
     # =====================================================================
 
     def _coll_tag(self) -> int:
@@ -369,18 +370,6 @@ class Communicator:
         ranks — MPI requires identical collective call order)."""
         self._coll_seq += 1
         return self._coll_seq
-
-    def set_coll_algorithm(self, operation: str, name: str) -> None:
-        """Pin ``operation`` to registry algorithm ``name`` on this
-        communicator (overridden by a per-call ``algorithm=``).
-
-        Like any collective-selection change, apply it at the same point
-        on every rank: algorithm choice shapes the traffic pattern, and
-        MPI requires identical collective behaviour across the group.
-        """
-        self._check_live()
-        _collreg.get(operation, name)  # validate before storing
-        self._coll_algorithms[operation] = name
 
     def barrier(self, algorithm: str | None = None) -> Generator:
         yield from self._run_coll(
@@ -428,69 +417,111 @@ class Communicator:
         return result
 
     def reduce_scatter(self, objs: Sequence[Any], op: Op = SUM) -> Generator:
-        result = yield from self._run_coll(_coll.reduce_scatter(self, objs, op))
+        result = yield from self._run_coll(
+            _flat.reduce_scatter(self, objs, op))
         return result
 
     def alltoallv(self, objs: Sequence[Any]) -> Generator:
-        result = yield from self._run_coll(_coll.alltoallv(self, objs))
+        """Variable-size all-to-all: object payloads carry their own
+        sizes, so the wire pattern is :meth:`alltoall`'s."""
+        result = yield from self._run_coll(_flat.alltoall(self, objs))
         return result
 
     def scan(self, obj: Any, op: Op = SUM) -> Generator:
-        result = yield from self._run_coll(_coll.scan(self, obj, op))
+        result = yield from self._run_coll(_flat.scan(self, obj, op))
         return result
 
     def exscan(self, obj: Any, op: Op = SUM) -> Generator:
-        result = yield from self._run_coll(_coll.exscan(self, obj, op))
+        result = yield from self._run_coll(_flat.exscan(self, obj, op))
         return result
 
-    # Buffer-flavour collectives (numpy arrays, elementwise ops).
+    # Buffer-flavour collectives (numpy arrays, elementwise ops): each
+    # runs its object-flavour sibling and copies the result into place.
 
     def Bcast(self, array: np.ndarray, root: int = 0,
               algorithm: str | None = None) -> Generator:
-        yield from self._run_coll(
-            _coll.Bcast(self, array, root, algorithm=algorithm))
+        """In-place broadcast of a numpy array."""
+        data = yield from self.bcast(array if self.rank == root else None,
+                                     root, algorithm)
+        if self.rank != root:
+            np.copyto(array, np.asarray(data).reshape(array.shape))
 
     def Reduce(self, sendarr: np.ndarray, recvarr: np.ndarray | None,
                op: Op = SUM, root: int = 0,
                algorithm: str | None = None) -> Generator:
-        yield from self._run_coll(
-            _coll.Reduce(self, sendarr, recvarr, op, root,
-                         algorithm=algorithm))
+        result = yield from self.reduce(np.asarray(sendarr), op, root,
+                                        algorithm)
+        if self.rank == root:
+            if recvarr is None:
+                raise MPIError("Reduce root needs a receive buffer")
+            np.copyto(recvarr, np.asarray(result).reshape(recvarr.shape))
 
     def Allreduce(self, sendarr: np.ndarray, recvarr: np.ndarray,
                   op: Op = SUM, algorithm: str | None = None) -> Generator:
-        yield from self._run_coll(
-            _coll.Allreduce(self, sendarr, recvarr, op,
-                            algorithm=algorithm))
+        result = yield from self.allreduce(np.asarray(sendarr), op,
+                                           algorithm)
+        np.copyto(recvarr, np.asarray(result).reshape(recvarr.shape))
 
     def Gather(self, sendarr: np.ndarray, recvarr: np.ndarray | None,
                root: int = 0, algorithm: str | None = None) -> Generator:
-        yield from self._run_coll(
-            _coll.Gather(self, sendarr, recvarr, root,
-                         algorithm=algorithm))
+        parts = yield from self.gather(np.asarray(sendarr), root, algorithm)
+        if self.rank == root:
+            if recvarr is None:
+                raise MPIError("Gather root needs a receive buffer")
+            stacked = np.concatenate([np.asarray(p).reshape(-1)
+                                      for p in parts])
+            np.copyto(recvarr.reshape(-1), stacked)
 
     def Scatter(self, sendarr: np.ndarray | None,
                 recvarr: np.ndarray, root: int = 0,
                 algorithm: str | None = None) -> Generator:
-        yield from self._run_coll(
-            _coll.Scatter(self, sendarr, recvarr, root,
-                          algorithm=algorithm))
+        parts = None
+        if self.rank == root:
+            if sendarr is None:
+                raise MPIError("Scatter root needs a send buffer")
+            flat = np.asarray(sendarr).reshape(self.size, -1)
+            parts = [flat[i].copy() for i in range(self.size)]
+        part = yield from self.scatter(parts, root, algorithm)
+        np.copyto(recvarr.reshape(-1), np.asarray(part).reshape(-1))
 
     def Allgather(self, sendarr: np.ndarray, recvarr: np.ndarray,
                   algorithm: str | None = None) -> Generator:
-        yield from self._run_coll(
-            _coll.Allgather(self, sendarr, recvarr,
-                            algorithm=algorithm))
+        parts = yield from self.allgather(np.asarray(sendarr), algorithm)
+        stacked = np.concatenate([np.asarray(p).reshape(-1) for p in parts])
+        np.copyto(recvarr.reshape(-1), stacked)
 
     def Gatherv(self, sendarr: np.ndarray, recvspec: tuple | None,
                 root: int = 0) -> Generator:
-        yield from self._run_coll(_coll.Gatherv(self, sendarr, recvspec,
-                                                 root))
+        """Variable-count gather: ``recvspec = (recvarr, counts, displs)``
+        at root (counts/displs in elements)."""
+        parts = yield from self.gather(np.asarray(sendarr), root, "default")
+        if self.rank == root:
+            if recvspec is None:
+                raise MPIError("Gatherv root needs (recvarr, counts, displs)")
+            recvarr, counts, displs = recvspec
+            flat = recvarr.reshape(-1)
+            for part, count, displ in zip(parts, counts, displs):
+                data = np.asarray(part).reshape(-1)
+                if data.size != count:
+                    raise MPIError(
+                        f"Gatherv: contribution of {data.size} elements, "
+                        f"count says {count}")
+                flat[displ:displ + count] = data
 
     def Scatterv(self, sendspec: tuple | None, recvarr: np.ndarray,
                  root: int = 0) -> Generator:
-        yield from self._run_coll(_coll.Scatterv(self, sendspec, recvarr,
-                                                  root))
+        """Variable-count scatter: ``sendspec = (sendarr, counts, displs)``
+        at root."""
+        parts = None
+        if self.rank == root:
+            if sendspec is None:
+                raise MPIError("Scatterv root needs (sendarr, counts, displs)")
+            sendarr, counts, displs = sendspec
+            flat = np.asarray(sendarr).reshape(-1)
+            parts = [flat[d:d + c].copy() for c, d in zip(counts, displs)]
+        part = yield from self.scatter(parts, root, "default")
+        data = np.asarray(part).reshape(-1)
+        recvarr.reshape(-1)[:data.size] = data
 
     def create_cart(self, dims, periods=None, reorder: bool = False) -> Generator:
         """Collective: attach a Cartesian topology (MPI_Cart_create)."""
@@ -511,7 +542,7 @@ class Communicator:
         multi-lane families build their subcommunicators through here.
         """
         self._check_live()
-        yield from _coll.barrier(self)
+        yield from _flat.barrier(self)
         return Communicator(self.env, self.group, self.env.allocate_context())
 
     def split(self, color: int, key: int | None = None) -> Generator:
@@ -521,7 +552,7 @@ class Communicator:
         """
         self._check_live()
         key = self.rank if key is None else key
-        pairs = yield from _coll.allgather(self, (color, key, self.rank))
+        pairs = yield from _flat.allgather(self, (color, key, self.rank))
         context = self.env.allocate_context()
         if color == UNDEFINED:
             return None
@@ -544,7 +575,7 @@ class Communicator:
         """
         self._check_live()
         if split_type == UNDEFINED:
-            yield from _coll.barrier(self)
+            yield from _flat.barrier(self)
             self.env.allocate_context()
             return None
         if split_type != COMM_TYPE_SHARED:
@@ -554,7 +585,7 @@ class Communicator:
         if key is not None:
             result = yield from self.split(self.env.node, key)
             return result
-        yield from _coll.barrier(self)
+        yield from _flat.barrier(self)
         context = self.env.allocate_context()
         node_of = self.env.node_of_rank
         world_ranks = [self._dest_world(r) for r in range(self.size)
@@ -564,7 +595,7 @@ class Communicator:
     def create(self, group: Group) -> Generator:
         """Collective over this comm: new communicator for ``group``."""
         self._check_live()
-        yield from _coll.barrier(self)
+        yield from _flat.barrier(self)
         context = self.env.allocate_context()
         if self.env.rank not in group:
             return None

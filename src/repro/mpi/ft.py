@@ -306,25 +306,18 @@ class FTState:
 
     def collective_failed(self, comm: "Communicator", exc: Exception) -> None:
         """A collective on ``comm`` raised an FT error on this rank:
-        poison its collective context — and those of its cached
-        hierarchical/multi-lane subcommunicators — everywhere, so ranks
+        poison its collective context — and those of the hierarchical
+        and multi-lane subcommunicators derived from it
+        (``comm._derived_comms``) — everywhere, so ranks
         parked inside the same collective unblock with the same error
         instead of waiting on a peer that already bailed out."""
         if isinstance(exc, MPIRevokedError):
             return  # revocation already floods its own poison
         failed_rank = getattr(exc, "failed_rank", None)
         contexts = {comm.collective_context}
-        hier = getattr(comm, "_hier_cache", None)
-        if hier is not None:
-            for sub in (hier.node_comm, hier.leader_comm):
-                if sub is not None:
-                    contexts.add(sub.context_id)
-                    contexts.add(sub.collective_context)
-        lanes = getattr(comm, "_lane_cache", None)
-        if lanes:
-            for lane in lanes:
-                contexts.add(lane.context_id)
-                contexts.add(lane.collective_context)
+        for sub in comm._derived_comms:
+            contexts.add(sub.context_id)
+            contexts.add(sub.collective_context)
         self._apply_coll_failed(tuple(sorted(contexts)), failed_rank,
                                 flood=True)
 

@@ -85,8 +85,7 @@ class EngineConfig:
     #: (``"hier"``) or ``"op=name"`` pairs
     #: (``"allreduce=multilane,bcast=binomial"``); see
     #: :mod:`repro.mpi.coll`.  Validated against the registry by
-    #: :meth:`Engine.apply_config`.  None defers to the
-    #: ``REPRO_COLL_ALG`` environment variable, then the defaults.
+    #: :meth:`Engine.apply_config`.  None runs the defaults.
     coll_algorithm: str | None = None
 
     @property
@@ -211,6 +210,9 @@ class Engine:
         #: Schedule-fuzz perturbations (None = deterministic baseline
         #: schedule; see repro.check.fuzz.install_fuzz).
         self.fuzz = None
+        #: Run-wide collective algorithm selection (operation -> registry
+        #: name), filled from ``EngineConfig.coll_algorithm``.
+        self.coll_selection: dict[str, str] = {}
         #: Root seed for every random decision made inside this simulation.
         self.seed = int(seed)
         self._rngs: dict[str, random.Random] = {}

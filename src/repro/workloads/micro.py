@@ -40,18 +40,10 @@ from repro.cluster.node import ClusterConfig, NodeSpec
 from repro.errors import ConfigurationError
 from repro.faults import lossy_plan
 from repro.sim.engine import seed_namespace
-from repro.mpi import coll
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.reduce_ops import MAX, SUM
 
 from repro.workloads.registry import Param, Workload, register
-
-# The flat zoo, fetched from the registry.
-_BCAST_ZOO = {name: coll.get("bcast", name).fn
-              for name in ("linear", "binomial")}
-_ALLREDUCE_ZOO = {name: coll.get("allreduce", name).fn
-                  for name in ("reduce_bcast", "recursive_doubling")}
-_allgather_bruck = coll.get("allgather", "bruck").fn
 
 #: ``build(workload_seed) -> (config, program)``; ``program(env)`` is a
 #: rank generator whose return value must not depend on the schedule.
@@ -107,14 +99,14 @@ def _build_collectives(workload_seed: int):
         comm = mpi.comm_world
         me = comm.rank
         out = []
-        for name in sorted(_BCAST_ZOO):
+        for name in ("binomial", "linear"):
             obj = ("payload", 1) if me == 1 else None
-            value = yield from _BCAST_ZOO[name](comm, obj, root=1)
+            value = yield from comm.bcast(obj, root=1, algorithm=name)
             out.append((f"bcast:{name}", value))
-        for name in sorted(_ALLREDUCE_ZOO):
-            value = yield from _ALLREDUCE_ZOO[name](comm, me + 1, SUM)
+        for name in ("recursive_doubling", "reduce_bcast"):
+            value = yield from comm.allreduce(me + 1, SUM, algorithm=name)
             out.append((f"allreduce:{name}", value))
-        value = yield from _allgather_bruck(comm, me * 10)
+        value = yield from comm.allgather(me * 10, algorithm="bruck")
         out.append(("allgather:bruck", tuple(value)))
         value = yield from comm.allgather(me * 10)
         out.append(("allgather:ring", tuple(value)))

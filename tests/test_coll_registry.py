@@ -1,12 +1,11 @@
 """The collective-algorithm selection API.
 
 Covers the registry itself (lookup, registration errors, selection-string
-parsing), the four-level resolution precedence (per call > per
-communicator > engine config > environment variable > default), the
-``split_type`` node decomposition, ch_mad lane steering, the deprecation
-shims over :mod:`repro.mpi.algorithms`, and the performance claim the
-node-aware family exists for: hierarchical allreduce beats the flat
-default on a multirail SMP cluster.
+parsing), the resolution precedence (per call > engine config >
+default), the ``split_type`` node decomposition, ch_mad lane steering,
+and the performance claim the node-aware family exists for:
+hierarchical allreduce beats the flat default on a multirail SMP
+cluster.
 """
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 from repro.cluster import EngineConfig, MPIWorld, multirail_smp_cluster
 from repro.errors import ConfigurationError, MPICommError
 from repro.mpi import coll
-from repro.mpi import collectives as _coll
+from repro.mpi.coll import flat
 from repro.mpi.constants import COMM_TYPE_SHARED, UNDEFINED
 from repro.mpi.reduce_ops import SUM
 from repro.sim.engine import install_instrumentation
@@ -43,16 +42,16 @@ def test_registry_rejects_unknowns_and_duplicates():
     with pytest.raises(ConfigurationError, match="no 'bcast' algorithm"):
         coll.get("bcast", "nope")
     with pytest.raises(ConfigurationError, match="unknown collective"):
-        coll.register("frobnicate", "x", _coll.bcast)
+        coll.register("frobnicate", "x", flat.bcast)
     with pytest.raises(ConfigurationError, match="already registered"):
-        coll.register("bcast", "default", _coll.bcast)
+        coll.register("bcast", "default", flat.bcast)
 
 
 def test_defaults_are_the_exact_flat_callables():
     # The bit-identical guarantee for unselected runs hinges on this.
     for operation in coll.OPERATIONS:
         assert coll.get(operation, "default").fn \
-            is getattr(_coll, operation)
+            is getattr(flat, operation)
 
 
 def test_parse_selection():
@@ -79,12 +78,12 @@ def probes():
 
     def probe_a(comm, obj, op):
         calls["a"] += 1
-        result = yield from _coll.allreduce(comm, obj, op)
+        result = yield from flat.allreduce(comm, obj, op)
         return result
 
     def probe_b(comm, obj, op):
         calls["b"] += 1
-        result = yield from _coll.allreduce(comm, obj, op)
+        result = yield from flat.allreduce(comm, obj, op)
         return result
 
     coll.register("allreduce", "probe_a", probe_a)
@@ -96,47 +95,22 @@ def probes():
         del coll.REGISTRY[("allreduce", "probe_b")]
 
 
-def test_per_call_beats_per_comm_beats_engine(probes):
+def test_per_call_beats_engine(probes):
     config = EngineConfig(coll_algorithm="allreduce=probe_a")
 
     def program(mpi):
         comm = mpi.comm_world
-        # Engine-wide selection applies when nothing else is said.
+        # Engine-wide selection applies when the call says nothing...
         yield from comm.allreduce(1, SUM)
-        # The communicator's table overrides the engine...
-        comm.set_coll_algorithm("allreduce", "probe_b")
-        yield from comm.allreduce(1, SUM)
-        # ...and the per-call keyword overrides both.
-        total = yield from comm.allreduce(2, SUM, algorithm="probe_a")
+        # ...and the per-call keyword overrides it.
+        total = yield from comm.allreduce(2, SUM, algorithm="probe_b")
         return total
 
     results = MPIWorld(linear_cluster(2), config).run(program)
     assert results == [4, 4]
-    # 2 ranks x (engine->a, comm->b, per-call->a): any precedence break
-    # would shift this split (all-engine: a=6; comm-sticky: a=2, b=4).
-    assert probes == {"a": 4, "b": 2}
-
-
-def test_env_var_selection(probes, monkeypatch):
-    monkeypatch.setenv(coll.ENV_VAR, "allreduce=probe_b")
-
-    def program(mpi):
-        total = yield from mpi.comm_world.allreduce(1, SUM)
-        return total
-
-    assert MPIWorld(linear_cluster(2)).run(program) == [2, 2]
-    assert probes["b"] == 2 and probes["a"] == 0
-
-
-def test_set_coll_algorithm_validates():
-    def program(mpi):
-        with pytest.raises(ConfigurationError):
-            mpi.comm_world.set_coll_algorithm("allreduce", "nope")
-        with pytest.raises(ConfigurationError):
-            mpi.comm_world.set_coll_algorithm("sendrecv", "default")
-        yield from mpi.comm_world.barrier()
-
-    MPIWorld(linear_cluster(2)).run(program)
+    # 2 ranks x (engine->a, per-call->b): any precedence break would
+    # shift this split (all-engine: a=4; per-call ignored: b=0).
+    assert probes == {"a": 2, "b": 2}
 
 
 def test_engine_config_validates_at_apply_time():
@@ -243,10 +217,6 @@ def test_multilane_allreduce_uses_both_rails():
             sends[key] = sends.get(key, 0) + metric.value
     assert sends.get("sisci", 0) > 0 and sends.get("sisci#1", 0) > 0
 
-
-# ---------------------------------------------------------------------------
-# removed free-function shims
-# ---------------------------------------------------------------------------
 
 # ---------------------------------------------------------------------------
 # the performance claim

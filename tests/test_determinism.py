@@ -6,7 +6,12 @@ are stable.  These tests run the same workloads twice and require
 identical traces, times and results.
 """
 
+import ast
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
+
+import repro
 
 from repro.bench.pingpong import mpi_pingpong
 from repro.bench.raw_madeleine import raw_madeleine_pingpong
@@ -14,6 +19,7 @@ from repro.cluster import ClusterConfig, MPIWorld, NodeSpec, two_node_cluster
 from repro.faults import lossy_plan
 from repro.sim import CPU, Engine, charge, sleep, yield_cpu
 from repro.sim.engine import install_instrumentation
+from repro.workloads import run as run_workload
 
 
 def test_engine_replay_is_identical():
@@ -128,6 +134,42 @@ def test_faulty_run_replays_identically():
     assert first[1] == second[1]       # full trace, bit for bit
     assert first[2]["faults.dropped"] > 0  # the plan actually fired
 
+
+def test_shell_environment_cannot_move_a_run(monkeypatch):
+    """A run is a function of its configuration alone: an environment
+    variable that no job digest covers must leave time and results
+    untouched."""
+    unset = run_workload("mixed", seed=0)
+    monkeypatch.setenv("REPRO_COLL_ALG", "hier")
+    hier = run_workload("mixed", seed=0)
+    assert (hier.time_ns, hier.digest) == (unset.time_ns, unset.digest)
+
+
+#: The one module allowed to read the process environment: the result
+#: cache's location is a deployment setting, not a simulation input.
+ENVIRONMENT_READERS = {"runner/cache.py"}
+
+
+def _reads_environment(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in ("environ", "getenv")):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(alias.name in ("environ", "getenv")
+                        for alias in node.names)):
+            return True
+    return False
+
+
+def test_no_simulation_module_reads_the_environment():
+    root = Path(repro.__file__).parent
+    readers = {path.relative_to(root).as_posix()
+               for path in root.rglob("*.py")
+               if _reads_environment(ast.parse(path.read_text()))}
+    assert readers == ENVIRONMENT_READERS
 
 def test_pingpong_measurements_are_stable():
     a = mpi_pingpong(1024, networks=("sisci",), reps=3)
