@@ -589,8 +589,8 @@ class Checker:
                         f"rendezvous send {send_id} towards dead rank "
                         f"{shandle.dest_world} still pending at "
                         "MPI_Finalize")
-            for sync in progress.sync_registry.values():
-                source = getattr(sync.rhandle, "rndv_source", None)
+            for handle in progress.sync_registry.values():
+                source = handle.rndv_source
                 if source in self.dead_ranks:
                     self._violate(
                         "dead-rank-leak", rank,

@@ -217,10 +217,6 @@ class DeathController:
         self.engine.tracer.emit("fault.node_death", rank=rank)
         for task in list(process.runtime.cpu.live_tasks()):
             task.kill()
-        # Retire (never recycle) the dead rank's object pools: a pooled
-        # request shell from a killed process must not be handed back
-        # out into live traffic (the progress engine's registered hook).
-        process.runtime.cpu.retire_pools()
         self.detector.rank_killed(rank)
         checker = self.engine.checker
         if checker.enabled:

@@ -126,6 +126,8 @@ class PollingThread:
                 cpu.owe(cost)
             self.items_handled += 1
             yield from self.handler(item)
+            # Parked on the mailbox, keep nothing of a handled message.
+            del item
 
     def _periodic_body(self) -> Generator:
         mailbox = self.source.mailbox
@@ -171,6 +173,7 @@ class PollingThread:
                     ins.emit("poll.wake", thread=self.source.name,
                              mode="periodic")
                 yield from self.handler(item)
+                del item
             if not handled_any:
                 # Marcel idle-loop integration: poll tightly while nothing
                 # else wants the CPU, back off to the full period otherwise.

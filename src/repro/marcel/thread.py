@@ -40,17 +40,19 @@ class MarcelRuntime:
                               recyclable=recyclable)
 
     def spawn_temporary(self, body: TaskBody | Callable[[], TaskBody],
-                        name: str, recycle: bool = True) -> Task:
-        """Spawn one of the paper's *temporary* threads (isend, rndv ops).
+                        name: str) -> Task:
+        """Spawn one of the paper's *temporary* threads (isend, rndv ops,
+        overlapped collectives).
 
         Temporary threads are daemons: if the application exits while one
         is still draining, it must not be reported as a deadlock.
 
-        By default the Task is *recyclable*: it leaves the CPU's roster
-        once it finishes — million-message runs spawn a temporary thread
-        per isend/rendezvous op, and without that every one lived until
-        finalize.  Callers that retain the returned handle to join it
-        later pass ``recycle=False`` (see ``CPU.spawn``).
+        The Task is *recyclable* (see ``CPU.spawn``): it leaves the CPU's
+        roster once it finishes — million-message runs spawn a temporary
+        thread per isend/rendezvous op, and without that every one lived
+        until finalize.  A caller that keeps the handle may still join it
+        (``yield wait(task)``), once: the join takes the task's result
+        and the finished task keeps none.
 
         Under schedule fuzzing (see repro.check.fuzz) the thread's start
         is jittered by a seeded delay — temporary threads carry no timing
@@ -62,7 +64,7 @@ class MarcelRuntime:
             jitter = fuzz.spawn_jitter()
             if jitter:
                 body = self._jittered(jitter, body)
-        return self.spawn(body, name=name, daemon=True, recyclable=recycle)
+        return self.spawn(body, name=name, daemon=True, recyclable=True)
 
     @staticmethod
     def _jittered(delay: int,

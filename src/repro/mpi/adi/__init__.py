@@ -7,8 +7,8 @@ The ADI sits between the generic MPI layer and the devices.  It owns:
   queues with MPI envelope matching (these queues are shared by *all*
   devices of a process, which is what makes multi-device receives and
   ``MPI_ANY_SOURCE`` work);
-- :mod:`~repro.mpi.adi.rhandle` — receive handles and the ``MPID_RNDV_T``
-  rendezvous synchronization structure (§4.2.2);
+- :mod:`~repro.mpi.adi.rhandle` — receive handles, which double as the
+  ``MPID_RNDV_T`` rendezvous synchronization structure (§4.2.2);
 - :mod:`~repro.mpi.adi.protocol` — eager/rendezvous transfer-mode
   selection against the device's single threshold field;
 - :mod:`~repro.mpi.adi.device` — the device base class and the progress
@@ -19,7 +19,7 @@ from repro.mpi.adi.device import Device, ProgressEngine
 from repro.mpi.adi.packets import Envelope
 from repro.mpi.adi.protocol import TransferMode, select_mode
 from repro.mpi.adi.queues import PostedQueue, UnexpectedKind, UnexpectedQueue
-from repro.mpi.adi.rhandle import RecvHandle, RndvSync, SendHandle
+from repro.mpi.adi.rhandle import RecvHandle, SendHandle
 
 __all__ = [
     "Device",
@@ -27,7 +27,6 @@ __all__ = [
     "PostedQueue",
     "ProgressEngine",
     "RecvHandle",
-    "RndvSync",
     "SendHandle",
     "TransferMode",
     "UnexpectedKind",

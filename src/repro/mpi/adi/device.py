@@ -23,6 +23,7 @@ the acknowledgement inline.
 from __future__ import annotations
 
 import copy as _copy
+import itertools
 from typing import Any, Generator, TYPE_CHECKING
 
 import numpy as np
@@ -35,9 +36,7 @@ from repro.mpi.adi.queues import (
     UnexpectedKind,
     UnexpectedQueue,
 )
-from repro.mpi.adi.rhandle import RecvHandle, RndvSync, SendHandle
-from repro.mpi.request import RecvRequest
-from repro.mpi.status import Status
+from repro.mpi.adi.rhandle import RecvHandle, SendHandle
 from repro.sim.coroutines import charge, wait
 from repro.sim.sync import Condition
 
@@ -47,8 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: MPI_ERR_TRUNCATE as a status error code.
 ERR_TRUNCATE = 15
 
-#: Free-list capacity for blocking-receive request shells (per process).
-_RECV_POOL_MAX = 32
+#: Rendezvous sync addresses (``RecvHandle.sync_id``), unique per run.
+_sync_ids = itertools.count(1)
 
 
 def clone_payload(obj: Any) -> Any:
@@ -68,7 +67,15 @@ def clone_payload(obj: Any) -> Any:
 
 
 class ProgressEngine:
-    """Shared receive-side state of one MPI process."""
+    """Shared receive-side state of one MPI process.
+
+    It holds the posted and unexpected queues, the send-ordering gates,
+    the rendezvous ``sync_registry`` and the ``pending_sends`` table.
+    Every receive is one :class:`RecvHandle`, built per call and owned
+    by whoever posted it.  The queues and the registry drop their
+    reference when the handle completes, so the engine keeps nothing of
+    a finished receive and needs no free-list of handles.
+    """
 
     def __init__(self, process: "MadProcess", byte_order: str = "little",
                  heterogeneity_conversion: bool = True):
@@ -88,95 +95,27 @@ class ProgressEngine:
         #: When set, arrivals from dead ranks or on revoked/failed
         #: contexts are discarded before they can reach user code.
         self.ft = None
-        #: Set when this rank died: its free-lists are cleared and
-        #: never hand out (or take back) shells again.
-        self._pools_retired = False
-        self.runtime.cpu.on_retire_pools(self._retire_pools)
         self.posted = PostedQueue()
         self.unexpected = UnexpectedQueue()
         #: Per-(context, destination) send-ordering gates (MPI
         #: non-overtaking; see repro.mpi.point2point.SendGate).
         self.send_gates: dict = {}
-        #: sync_id -> RndvSync, the MPID_RNDV_T "address book".
+        #: sync_id -> RecvHandle awaiting its rendezvous data packet: the
+        #: MPID_RNDV_T "address book".
         self.sync_registry: dict = {}
         #: send_id -> SendHandle awaiting its rendezvous ack, on any
         #: device (read by the FT sweep and the finalize audit).
         self.pending_sends: dict = {}
         #: Broadcast on every arrival; blocking probes wait here.
         self.arrivals = Condition(name="adi-arrivals")
-        self._recv_pool: list[RecvRequest] = []
-
-    # -- blocking-receive shell pool -----------------------------------------
-
-    def acquire_recv(self, comm: Any, context_id: int, source_pattern: int,
-                     tag_pattern: int, capacity: int | None) -> RecvRequest:
-        """A RecvRequest+RecvHandle shell for a *blocking* receive.
-
-        Blocking ``comm.recv`` is the eager hot path: the request never
-        escapes to user code, so its shell (request, handle, flag) can be
-        recycled through a free-list instead of allocated per message.
-        The Status is always fresh — it *does* escape, inside the
-        ``(data, status)`` result.
-
-        The free-list stays because a shell is a reference cycle
-        (``flag.value`` and ``flag.dep_describe`` both point back at the
-        handle), so an unpooled shell waits for the cyclic GC: removing
-        the pool raised ``scale_1024`` peak RSS from 55.7 to 58.2 MB.
-        """
-        if not self._pools_retired:
-            pool = self._recv_pool
-            if pool:
-                request = pool.pop()
-                handle = request.handle
-                handle.context_id = context_id
-                handle.source_pattern = source_pattern
-                handle.tag_pattern = tag_pattern
-                handle.capacity = capacity
-                handle.status = Status()
-                handle.data = None
-                flag = handle.flag
-                flag.is_set = False
-                flag.value = None
-                request.comm = comm
-                request.pending_copy_bytes = 0
-                request.posted_queue = None
-                return request
-        request = RecvRequest(
-            RecvHandle(context_id, source_pattern, tag_pattern, capacity),
-            comm)
-        request._pooled = True
-        return request
-
-    def release_recv(self, request: RecvRequest) -> None:
-        """Return a cleanly-completed blocking-receive shell to the pool.
-
-        Only the eager happy path recycles: rendezvous transactions
-        (``handle.sync`` set), errored or cancelled receives keep their
-        shells — those paths are cold and their handles may still be
-        referenced (sync registry, FT bookkeeping).
-        """
-        handle = request.handle
-        status = handle.status
-        if (self._pools_retired or handle.sync is not None
-                or not handle.flag.is_set
-                or status.error or status.cancelled):
-            return
-        pool = self._recv_pool
-        if len(pool) < _RECV_POOL_MAX:
-            request.comm = None
-            handle.data = None
-            pool.append(request)
-
-    def _retire_pools(self) -> None:
-        self._pools_retired = True
-        self._recv_pool.clear()
 
     # -- registry ------------------------------------------------------------
 
-    def register_sync(self, handle: RecvHandle) -> RndvSync:
-        sync = handle.make_sync()
-        self.sync_registry[sync.sync_id] = sync
-        return sync
+    def register_sync(self, handle: RecvHandle) -> int:
+        """Give ``handle`` its rendezvous address and file it under it."""
+        sync_id = handle.sync_id = next(_sync_ids)
+        self.sync_registry[sync_id] = handle
+        return sync_id
 
     # -- arrival paths (run by polling threads or ch_self) ----------------------
 
@@ -234,11 +173,10 @@ class ProgressEngine:
                 checker.on_match(envelope, self.process.rank)
             self._check_truncation(handle, envelope)
             handle.rndv_source = envelope.source
-            sync = self.register_sync(handle)
+            sync_id = self.register_sync(handle)
             # Polling threads must not send: spawn the ack thread (§4.2.3).
             self.runtime.spawn_temporary(
-                token.device.send_rndv_ack(token, sync.sync_id),
-                name="rndv-ack")
+                token.device.send_rndv_ack(token, sync_id), name="rndv-ack")
         else:
             self.unexpected.add(UnexpectedEntry(envelope,
                                                 UnexpectedKind.RNDV_REQUEST,
@@ -270,8 +208,8 @@ class ProgressEngine:
             self.sync_registry.pop(sync_id, None)
             self.ft.note_discard(envelope)
             return
-        sync = self.sync_registry.pop(sync_id, None)
-        if sync is None:
+        handle = self.sync_registry.pop(sync_id, None)
+        if handle is None:
             if self.ft is not None:
                 # The FT layer drained this sync entry when it failed the
                 # receive; the straggler data packet is expected.
@@ -282,7 +220,7 @@ class ProgressEngine:
         # (heterogeneity conversion, when needed, is charged).
         if envelope.byte_order != self.byte_order:
             data = yield from self._heterogeneity(envelope, data)
-        sync.rhandle.complete(envelope, data)
+        handle.complete(envelope, data)
         self.rndv_completed += 1
         self.arrivals.notify_all()
         return

@@ -5,72 +5,73 @@ structure.  This structure has a field whose type is MPID_RNDV_T.  In our
 case, it corresponds to a synchronization structure containing a
 semaphore and the address of the rhandle it belongs to."
 
-:class:`RndvSync` is exactly that pair; its ``sync_id`` plays the role of
-the structure's *address*, communicated to the sender inside the
-acknowledgement packet and sent back inside the data packet header so the
-polling thread can find the rhandle without any queue search.
+Here the rhandle *is* that structure.  :class:`RecvHandle` is its own
+completion flag, which does the semaphore's job: the receiving thread
+blocks on the handle and the polling thread sets it when the data packet
+lands.  Its ``sync_id`` plays the role of the structure's *address*: it
+goes to the sender inside the acknowledgement packet and comes back
+inside the data packet header, and the progress engine's
+``sync_registry`` maps it straight to the handle, so the polling thread
+finds the rhandle without any queue search.  No object points back at
+the handle, so a finished receive is freed by reference counting alone
+as soon as its caller drops it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.mpi.adi.packets import Envelope
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.status import Status
-from repro.sim.sync import Flag, Semaphore
-
-_sync_ids = itertools.count(1)
+from repro.sim.sync import Flag
 
 
-@dataclass
-class RndvSync:
-    """MPID_RNDV_T: a semaphore plus a back-pointer to its rhandle."""
+class RecvHandle(Flag):
+    """One pending receive transaction, and the flag that completes it.
 
-    rhandle: "RecvHandle"
-    semaphore: Semaphore = field(default_factory=lambda: Semaphore(0, name="rndv"))
-    sync_id: int = field(default_factory=lambda: next(_sync_ids))
-
-
-class RecvHandle:
-    """One pending receive transaction.
-
-    Completion is signalled through :attr:`flag`; rendezvous transactions
-    additionally own a :class:`RndvSync` whose semaphore the main thread
-    blocks on while the polling thread waits for the data packet.
+    Completion, cancellation and fault-tolerance failure all ``set()``
+    the handle with no value: waiters read :attr:`data` and
+    :attr:`status`, never the wake value.
     """
+
+    name = "rhandle"
+    is_set = False
+    value = None
+    #: Rendezvous address (MPID_RNDV_T), set once a rendezvous request
+    #: matched and the handle entered the progress engine's registry.
+    sync_id: int | None = None
+    #: World rank of the matched rendezvous sender (set when the
+    #: OK_TO_SEND goes out) — lets the FT layer fail a receive whose
+    #: data packet will never arrive because that sender died.
+    rndv_source: int | None = None
+    data: Any = None
 
     def __init__(self, context_id: int, source_pattern: int, tag_pattern: int,
                  capacity: int | None = None):
+        # Flag state without Flag.__init__: ``name``, ``is_set`` and
+        # ``value`` are class defaults, only the waiter list is per handle.
+        self._waiters = []
         self.context_id = context_id
         self.source_pattern = source_pattern
         self.tag_pattern = tag_pattern
         #: Receive buffer capacity in bytes (None = unbounded object recv).
         self.capacity = capacity
-        self.flag = Flag(name="rhandle")
-        self.flag.dep_describe = self  # see __call__
         self.status = Status()
-        self.data: Any = None
-        self.sync: RndvSync | None = None
-        #: World rank of the matched rendezvous sender (set when the
-        #: OK_TO_SEND goes out) — lets the FT layer fail a receive whose
-        #: data packet will never arrive because that sender died.
-        self.rndv_source: int | None = None
 
-    def make_sync(self) -> RndvSync:
-        """Attach a rendezvous sync structure (idempotent per transaction)."""
-        if self.sync is None:
-            self.sync = RndvSync(self)
-        return self.sync
+    @property
+    def rank_dep(self) -> int | None:
+        """The rank a task blocked on this receive waits on (wait-for
+        graph metadata; unknown for ``MPI_ANY_SOURCE``)."""
+        source = self.source_pattern
+        return None if source == ANY_SOURCE else source
 
-    def __call__(self) -> str:
+    def dep_describe(self) -> str:
         """What a task blocked on this receive waits for.
 
-        The handle is its flag's ``dep_describe``, which the wait-for
-        graph (:mod:`repro.check.waitgraph`) calls: the text is formatted
-        only if a diagnosis reads it, with no per-receive object to hold.
+        The wait-for graph (:mod:`repro.check.waitgraph`) calls it: the
+        text is formatted only if a diagnosis reads it.
         """
         source, tag = self.source_pattern, self.tag_pattern
         return (f"recv source={'ANY' if source == ANY_SOURCE else source}"
@@ -84,17 +85,16 @@ class RecvHandle:
     def complete(self, envelope: Envelope, data: Any) -> None:
         """Fill in data/status and wake the waiter."""
         self.data = data
-        self.status.source = envelope.source
-        self.status.source_world = envelope.source
-        self.status.tag = envelope.tag
-        self.status.count = envelope.size
-        self.flag.set(self)
-        if self.sync is not None:
-            self.sync.semaphore.release()
+        status = self.status
+        status.source = envelope.source
+        status.source_world = envelope.source
+        status.tag = envelope.tag
+        status.count = envelope.size
+        self.set()
 
     @property
     def completed(self) -> bool:
-        return self.flag.is_set
+        return self.is_set
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<RecvHandle ctx={self.context_id} src={self.source_pattern} "

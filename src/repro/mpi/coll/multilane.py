@@ -102,8 +102,7 @@ def _assemble(pieces: list[Any]) -> Any:
 def _run_lanes(comm: "Communicator", generators: list) -> Generator:
     """Run one sub-collective per lane concurrently; list of results."""
     runtime = comm.env.process.runtime
-    # recycle=False: these handles are retained and joined below.
-    tasks = [runtime.spawn_temporary(gen, name=f"coll-lane{i}", recycle=False)
+    tasks = [runtime.spawn_temporary(gen, name=f"coll-lane{i}")
              for i, gen in enumerate(generators)]
     results = []
     for task in tasks:

@@ -175,8 +175,7 @@ class Communicator:
         message raises :class:`~repro.errors.MPITruncationError`.
         """
         self._check_live()
-        request = _p2p.irecv_impl(self, source, tag, size, self.context_id,
-                                  pooled=True)
+        request = _p2p.irecv_impl(self, source, tag, size, self.context_id)
         result = yield from _p2p.recv_wait(self, request)
         return result
 

@@ -254,8 +254,7 @@ class FTState:
             if entry.kind is UnexpectedKind.RNDV_REQUEST:
                 send_id = entry.rndv_token.send_id
             self.note_discard(entry.envelope, send_id=send_id)
-        for sync_id, sync in list(progress.sync_registry.items()):
-            handle = sync.rhandle
+        for sync_id, handle in list(progress.sync_registry.items()):
             if handle.completed or not doomed_sync(handle):
                 continue
             del progress.sync_registry[sync_id]
@@ -272,9 +271,7 @@ class FTState:
                    failed_rank: int | None) -> None:
         handle.status.error = code
         handle.status.failed_rank = failed_rank
-        handle.flag.set(handle)
-        if handle.sync is not None:
-            handle.sync.semaphore.release()
+        handle.set()
 
     # -- revocation ------------------------------------------------------------
 
@@ -413,10 +410,10 @@ class FTState:
                 self._dispatch_control(entry.data)
                 continue
             handle = RecvHandle(FT_CONTROL_CONTEXT, ANY_SOURCE, ANY_TAG)
-            handle.flag.dep_describe = "ft control listener"
+            handle.dep_describe = "ft control listener"
             self._listener_handle = handle
             progress.posted.post(handle)
-            yield wait(handle.flag)
+            yield wait(handle)
             self._listener_handle = None
             if self._stopped or getattr(self.env.process, "dead", False):
                 return

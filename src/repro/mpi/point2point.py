@@ -272,15 +272,13 @@ def isend_impl(comm: "Communicator", data: Any, dest: int, tag: int,
 
 
 def irecv_impl(comm: "Communicator", source: int, tag: int,
-               capacity: int | None, context_id: int,
-               pooled: bool = False) -> RecvRequest:
+               capacity: int | None, context_id: int) -> RecvRequest:
     """Post a receive (non-blocking).  Never yields — atomic w.r.t. the
     cooperative scheduler.
 
-    ``pooled=True`` (blocking ``comm.recv`` only) draws the
-    request/handle shell from the progress engine's free-list —
-    ``recv_wait`` returns it after a clean completion.  Requests that
-    escape to user code (irecv) must stay ``pooled=False``.
+    Blocking ``comm.recv`` posts through here too: the request and its
+    handle are built per call and freed by reference counting once the
+    caller drops them (no object refers back to the handle).
     """
     _check_rank(comm, source, wildcard=True, what="source")
     _check_tag(tag, wildcard=True)
@@ -289,7 +287,7 @@ def irecv_impl(comm: "Communicator", source: int, tag: int,
         handle = RecvHandle(context_id, PROC_NULL, tag, capacity)
         handle.status.source = PROC_NULL
         handle.status.count = 0
-        handle.flag.set(handle)
+        handle.set()
         return RecvRequest(handle, comm)
     source_world = (ANY_SOURCE if source == ANY_SOURCE
                     else comm._source_world(source))
@@ -303,21 +301,12 @@ def irecv_impl(comm: "Communicator", source: int, tag: int,
             handle = RecvHandle(context_id, source_world, tag, capacity)
             handle.status.error = code
             handle.status.failed_rank = failed_rank
-            handle.flag.set(handle)
+            handle.set()
             return RecvRequest(handle, comm)
     progress = env.progress
     entry = progress.unexpected.match(context_id, source_world, tag)
-    if pooled:
-        request = progress.acquire_recv(comm, context_id, source_world,
-                                        tag, capacity)
-    else:
-        request = RecvRequest(
-            RecvHandle(context_id, source_world, tag, capacity), comm)
-    handle = request.handle
-    # Wait-for-graph metadata: a task blocked on this receive waits on
-    # the source rank (unknown for MPI_ANY_SOURCE).
-    handle.flag.rank_dep = (None if source_world == ANY_SOURCE
-                            else source_world)
+    handle = RecvHandle(context_id, source_world, tag, capacity)
+    request = RecvRequest(handle, comm)
     if entry is None:
         progress.posted.post(handle)
         request.posted_queue = progress.posted
@@ -337,10 +326,10 @@ def irecv_impl(comm: "Communicator", source: int, tag: int,
     # temporary thread sends it (the paper's thread discipline, §4.2.3) —
     # this also keeps irecv itself non-blocking.
     handle.rndv_source = entry.envelope.source
-    sync = env.progress.register_sync(handle)
+    sync_id = progress.register_sync(handle)
     token = entry.rndv_token
     env.process.runtime.spawn_temporary(
-        token.device.send_rndv_ack(token, sync.sync_id), name="rndv-ack"
+        token.device.send_rndv_ack(token, sync_id), name="rndv-ack"
     )
     return request
 
@@ -350,14 +339,8 @@ def recv_wait(comm: "Communicator", request: RecvRequest) -> Generator:
     if request.pending_copy_bytes:
         nbytes, request.pending_copy_bytes = request.pending_copy_bytes, 0
         yield charge(comm.env.progress.memory.copy_cost(nbytes))
-    yield wait(request.handle.flag)  # Request.wait, without its frame
-    result = request._result()
-    if request._pooled:
-        # Clean completion of a blocking receive: the shell goes back to
-        # the free-list (an error above raised past this point, keeping
-        # the shell out of circulation).
-        comm.env.progress.release_recv(request)
-    return result
+    yield wait(request.handle)  # Request.wait, without its frame
+    return request._result()
 
 
 def probe_impl(comm: "Communicator", source: int, tag: int,

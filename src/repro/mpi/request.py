@@ -142,26 +142,25 @@ class SendRequest(Request):
 
 
 class RecvRequest(Request):
-    """Handle for a non-blocking receive."""
+    """Handle for a non-blocking receive.
 
-    #: True for shells owned by the progress engine's blocking-receive
-    #: free-list (see ProgressEngine.acquire_recv); such a request never
-    #: escapes to user code and is recycled after a clean completion.
-    _pooled = False
+    Its completion flag is the :class:`RecvHandle` itself.
+    """
+
+    #: Unexpected-buffer bytes whose copy into the user buffer has not
+    #: been charged yet (paid by the thread that waits; see
+    #: :func:`repro.mpi.point2point.recv_wait`).
+    pending_copy_bytes = 0
+    #: The posted queue this receive sits in (set by irecv_impl),
+    #: enabling :meth:`cancel`.
+    posted_queue = None
 
     def __init__(self, handle: RecvHandle, comm=None):
-        super().__init__(handle.flag)
-        self.handle = handle
+        # No Request.__init__: every blocking receive builds one of these.
+        self._flag = self.handle = handle
         #: The communicator, for translating the sender's world rank into
         #: a communicator-relative (or remote-group) rank in the status.
         self.comm = comm
-        #: Unexpected-buffer bytes whose copy into the user buffer has not
-        #: been charged yet (paid by the thread that waits; see
-        #: :func:`repro.mpi.point2point.recv_wait`).
-        self.pending_copy_bytes = 0
-        #: The posted queue this receive sits in (set by irecv_impl),
-        #: enabling :meth:`cancel`.
-        self.posted_queue = None
 
     def cancel(self) -> bool:
         """Withdraw a pending receive (MPI_Cancel).
@@ -176,7 +175,7 @@ class RecvRequest(Request):
         if self.posted_queue is None or not self.posted_queue.remove(self.handle):
             return False
         self.handle.status.cancelled = True
-        self.handle.flag.set(self.handle)
+        self.handle.set()
         return True
 
     def _result(self) -> tuple[Any, Status]:

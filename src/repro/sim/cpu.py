@@ -71,9 +71,19 @@ FINISHED_STATES = frozenset({TaskState.DONE, TaskState.FAILED, TaskState.KILLED}
 class Task:
     """A generator coroutine scheduled on a :class:`CPU`.
 
-    A finished task is also a waitable: other tasks may ``yield wait(task)``
-    to join it; the join evaluates to the task's return value.
+    A task is also a waitable: other tasks may ``yield wait(task)`` to
+    join it; the join evaluates to the task's return value (or re-raises
+    its exception).  A *recyclable* task (a temporary thread, see
+    ``MarcelRuntime.spawn_temporary``) is joined once: it hands its
+    result to the joiners waiting when it finishes, or to the first one
+    that comes later, and keeps none itself.  Other tasks keep
+    :attr:`result` for as long as they live.
     """
+
+    __slots__ = ("cpu", "gen", "name", "daemon", "state", "finished",
+                 "result", "exception", "cpu_time", "waiting_on",
+                 "_joiners", "_done_callbacks", "_wake_value", "_queued",
+                 "recyclable")
 
     _counter = 0
 
@@ -86,7 +96,8 @@ class Task:
             )
         Task._counter += 1
         self.cpu = cpu
-        self.gen = body
+        #: The body; dropped once the task finishes.
+        self.gen: TaskBody | None = body
         self.name = name or f"task-{Task._counter}"
         #: Daemon tasks do not count for deadlock detection and may be
         #: killed at teardown — the polling threads of ch_mad are daemons.
@@ -105,7 +116,7 @@ class Task:
         #: state is BLOCKED) — deadlock diagnostics read it to say *what*
         #: a hung thread was waiting for.
         self.waiting_on: Any = None
-        self._joiners: list[tuple[Task, Any]] = []
+        self._joiners: list[Task] = []
         self._done_callbacks: list[Callable[["Task"], None]] = []
         self._wake_value: Any = None
         #: True while this task sits in its CPU's ready deque (tombstone
@@ -114,7 +125,7 @@ class Task:
         self._queued = False
         #: Recyclable tasks (temporary threads) leave their CPU's roster
         #: once finished, so a long run does not retain every one of
-        #: them.  See ``CPU._compact_tasks``.
+        #: them (see ``CPU._compact_tasks``), and are joined once.
         self.recyclable = False
 
     # -- waitable protocol (join) ------------------------------------------
@@ -123,8 +134,11 @@ class Task:
         if self.finished:
             if self.exception is not None:
                 raise self.exception
-            return True, self.result
-        self._joiners.append((task, None))
+            result = self.result
+            if self.recyclable:
+                self.result = None  # handed to this joiner
+            return True, result
+        self._joiners.append(task)
         return False, None
 
     def add_done_callback(self, fn: Callable[["Task"], None]) -> None:
@@ -141,6 +155,7 @@ class Task:
 
     def _finish(self, result: Any = None, exception: BaseException | None = None,
                 killed: bool = False) -> None:
+        self.gen = None
         if killed:
             self.state = TaskState.KILLED
         elif exception is not None:
@@ -150,15 +165,19 @@ class Task:
             self.state = TaskState.DONE
             self.result = result
         self.finished = True
-        joiners, self._joiners = self._joiners, []
-        for joiner, _ in joiners:
+        # Later joins and callbacks see ``finished`` and act at once.
+        joiners, callbacks = self._joiners, self._done_callbacks
+        self._joiners = self._done_callbacks = ()
+        handed = False
+        for joiner in joiners:
             if not joiner.finished:
-                joiner.cpu.make_ready(joiner, self.result)
-        if self._done_callbacks:
-            callbacks, self._done_callbacks = self._done_callbacks, []
-            for fn in callbacks:
-                fn(self)
+                joiner.cpu.make_ready(joiner, result)
+                handed = True
+        for fn in callbacks:
+            fn(self)
         if self.recyclable:
+            if handed:
+                self.result = None
             self.cpu._note_recyclable_finish()
 
     def waiting_description(self) -> str:
@@ -211,7 +230,6 @@ class CPU:
         self._dispatch_pending = False
         self._tasks: list[Task] = []
         self._finished_recyclable = 0
-        self._retire_hooks: list[Callable[[], None]] = []
         #: Total ns this CPU spent busy (charges + switches), diagnostic.
         self.busy_time: int = 0
         #: ns the running task accrued with :meth:`owe` and has yet to pay.
@@ -224,8 +242,9 @@ class CPU:
         """Create a task from a generator (or a zero-arg generator function).
 
         ``recyclable`` lets the roster drop the task once it has finished
-        (:meth:`tasks`): for the temporary fire-and-forget threads of
-        the MPI device layer (``MarcelRuntime.spawn_temporary``).
+        (:meth:`tasks`) and makes it join-once (see :class:`Task`): for
+        the temporary threads of the MPI layers
+        (``MarcelRuntime.spawn_temporary``).
         """
         if callable(body) and not hasattr(body, "send"):
             body = body()
@@ -279,7 +298,10 @@ class CPU:
         :meth:`_compact_tasks`) — without that exception a million-message
         run would retain every temporary isend/rndv thread it ever
         spawned.  Persistent tasks (mains, pollers, anything spawned
-        without ``recyclable=True``) are always present.
+        without ``recyclable=True``) are always present.  A finished
+        task on the roster holds no body, and a finished temporary that
+        was joined holds no result either: the roster costs a few
+        hundred bytes per task, whatever the task computed.
         """
         return tuple(self._tasks)
 
@@ -294,7 +316,7 @@ class CPU:
             if not t.finished and not t.daemon and t.state == TaskState.BLOCKED
         ]
 
-    # -- roster compaction and pool retirement -----------------------------
+    # -- roster compaction ---------------------------------------------------
 
     def _note_recyclable_finish(self) -> None:
         self._finished_recyclable += 1
@@ -306,20 +328,6 @@ class CPU:
         self._tasks[:] = [task for task in self._tasks
                           if not (task.finished and task.recyclable)]
         self._finished_recyclable = 0
-
-    def retire_pools(self) -> None:
-        """FT: this CPU's rank was killed — fire the retirement hooks.
-
-        The rank's progress engine registers its request free-list here:
-        a dead rank's pooled objects must be retired, never recycled
-        into live traffic.
-        """
-        for hook in self._retire_hooks:
-            hook()
-
-    def on_retire_pools(self, hook: Callable[[], None]) -> None:
-        """Register ``hook`` to run when this CPU's pools are retired."""
-        self._retire_hooks.append(hook)
 
     # -- internals ----------------------------------------------------------
 

@@ -47,9 +47,9 @@ def _pop_live(waiters: list) -> "Task | None":
 class Semaphore:
     """Counting semaphore.  ``wait(sem)`` is P, :meth:`release` is V.
 
-    This is the direct analogue of the ``marcel_sem_t`` used by ch_mad's
-    rendezvous sync structure: the receiving main thread P()s on it and the
-    polling thread V()s it when the data message lands (§4.2.2).
+    The analogue of ``marcel_sem_t``.  ch_mad's rendezvous sync structure
+    does not need one: its receive handle is a one-shot :class:`Flag`
+    that the polling thread sets when the data message lands (§4.2.2).
     """
 
     def __init__(self, value: int = 0, name: str | None = None):

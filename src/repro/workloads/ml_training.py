@@ -138,10 +138,9 @@ def _build_ml_training(seed: int, *, ranks: int, processes_per_node: int,
                     continue
                 if pending is not None:
                     reduced.append((yield wait(pending)))
-                # recycle=False: the handle is retained and joined.
                 pending = runtime.spawn_temporary(
                     _allreduce_gen(grad_comm, grad, SUM, algorithm),
-                    name=f"grad-allreduce{index}", recycle=False)
+                    name=f"grad-allreduce{index}")
             if pending is not None:
                 reduced.append((yield wait(pending)))
 

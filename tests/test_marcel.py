@@ -47,6 +47,55 @@ def test_temporary_threads_are_daemons(runtime):
     assert task.daemon
 
 
+def _payload_thread():
+    yield charge(10)
+    return ["payload"]
+
+
+def test_joined_temporary_keeps_no_result(engine, runtime):
+    # A joiner already waiting when the temporary finishes takes the
+    # result; the finished task (still held here) keeps none of it.
+    joined = []
+
+    def parent():
+        task = runtime.spawn_temporary(_payload_thread, name="tmp")
+        joined.append((task, (yield from MarcelRuntime.join(task))))
+
+    runtime.spawn(parent, name="parent")
+    engine.run()
+    [(task, value)] = joined
+    assert value == ["payload"]
+    assert task.finished and task.result is None
+
+
+def test_late_join_of_temporary_takes_its_result(engine, runtime):
+    # Joined after it finished: the first join takes the result.
+    joined = []
+
+    def parent():
+        task = runtime.spawn_temporary(_payload_thread, name="tmp")
+        yield sleep(1000)
+        assert task.finished and task.result == ["payload"]
+        joined.append((task, (yield from MarcelRuntime.join(task))))
+
+    runtime.spawn(parent, name="parent")
+    engine.run()
+    [(task, value)] = joined
+    assert value == ["payload"]
+    assert task.result is None
+
+
+def test_persistent_thread_keeps_its_result_after_join(engine, runtime):
+    def parent():
+        task = runtime.spawn(_payload_thread, name="child")
+        yield from MarcelRuntime.join(task)
+        return task
+
+    parent_task = runtime.spawn(parent, name="parent")
+    engine.run()
+    assert parent_task.result.result == ["payload"]
+
+
 def test_kill_daemons(engine, runtime):
     box = Mailbox()
 

@@ -133,27 +133,3 @@ class TestMatchingProperties:
             assert entry is None
         else:
             assert entry.envelope.size == expected
-
-
-class TestRecvShellPool:
-    def test_free_list_is_capped_and_reinitialises_shells(self):
-        from repro.cluster import MPIWorld
-        from repro.mpi.adi.device import _RECV_POOL_MAX
-        from tests.helpers import linear_cluster
-
-        progress = MPIWorld(linear_cluster(2)).envs[0].progress
-        shells = [progress.acquire_recv(None, 0, 1, 2, None)
-                  for _ in range(_RECV_POOL_MAX + 8)]
-        for request in shells:
-            request.handle.data = "payload"
-            request.handle.flag.set(request.handle)
-            progress.release_recv(request)
-        assert len(progress._recv_pool) == _RECV_POOL_MAX
-
-        reused = progress.acquire_recv("comm", 3, 4, 5, 64)
-        assert any(reused is shell for shell in shells)
-        handle = reused.handle
-        assert (handle.context_id, handle.source_pattern,
-                handle.tag_pattern, handle.capacity) == (3, 4, 5, 64)
-        assert handle.data is None and not handle.flag.is_set
-        assert reused.comm == "comm"

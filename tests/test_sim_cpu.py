@@ -179,6 +179,20 @@ def test_task_exception_propagates_to_run(engine, cpu):
     assert isinstance(task.exception, ValueError)
 
 
+def test_finished_task_drops_its_body(engine, cpu):
+    def body():
+        yield charge(1)
+        return "kept"
+
+    task = cpu.spawn(body)
+    killed = cpu.spawn(body)
+    killed.kill()
+    engine.run()
+    assert task.gen is None and task.result == "kept"
+    assert killed.gen is None and killed.state is TaskState.KILLED
+    assert not hasattr(task, "__dict__")  # slotted: nothing else to hold
+
+
 def test_spawn_rejects_non_generator(engine, cpu):
     with pytest.raises(SimulationError, match="generator"):
         cpu.spawn(lambda: 42)
@@ -388,13 +402,6 @@ def test_recycled_identity_charges_switch_cost(engine):
     # to run left the roster: it pays the context switch (150) plus its
     # own work (100).
     assert cpu.busy_time - busy_before == 250
-
-
-def test_retire_pools_clears_and_disables(engine, cpu):
-    fired = []
-    cpu.on_retire_pools(lambda: fired.append(True))
-    cpu.retire_pools()
-    assert fired == [True]
 
 
 # -- owed time (CPU.owe) ------------------------------------------------------
