@@ -2,7 +2,7 @@
 
 The checker is an :class:`~repro.sim.metrics.Instrumentation`-style
 facade: every hook site in the stack guards with ``if checker.enabled:``
-against the :data:`NULL_CHECKER` singleton, so a run with the checker off
+against the :data:`~repro.check.NULL_CHECKER` singleton, so a run with the checker off
 pays one attribute load per hook and nothing else.  Enabled via
 ``EngineConfig(checker=True)`` or ``install_checker(engine)``, it shadows the protocol state of the whole
 simulated cluster (the checker is engine-wide, exactly like the tracer)
@@ -51,10 +51,12 @@ The RDMA rendezvous control packets (MAD_RDMA_REQ/ACK/DATA) shadow the
 same three-way handshake state machine as their packetized counterparts
 — the zero-copy path earns no slack from the checker.
 
-This module is imported by :mod:`repro.sim.engine` at module level, so it
-must not import anything from ``repro.sim`` / ``repro.madeleine`` /
-``repro.mpi`` at module scope (the enum used by the EXPRESS check is
-imported lazily).  The wait-for-graph lives in
+The disabled :data:`~repro.check.NULL_CHECKER` lives in the package
+``__init__``; this module is compiled only when a checker is installed
+(:func:`~repro.sim.engine.install_checker` imports it).  It imports
+nothing from ``repro.madeleine`` / ``repro.mpi`` at module scope (the
+enum used by the EXPRESS check is imported lazily).  The wait-for-graph
+lives in
 :mod:`repro.check.waitgraph` and the fuzzing harness in
 :mod:`repro.check.fuzz`, both imported only by their consumers.
 """
@@ -103,29 +105,6 @@ def _arm_tripwires(engine: Any) -> None:
         method = getattr(cls, name)
         if not hasattr(method, "__wrapped__"):
             setattr(cls, name, _tripwire(f"{cls.__name__}.{name}", method))
-
-
-class NullChecker:
-    """Disabled checker: every hook site sees ``enabled`` False and skips.
-
-    The no-op methods exist so direct calls (tests, defensive code) stay
-    harmless even without the ``enabled`` guard.
-    """
-
-    enabled = False
-    violations: tuple = ()
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return self._noop
-
-    @staticmethod
-    def _noop(*_args: Any, **_kwargs: Any) -> None:
-        return None
-
-
-NULL_CHECKER = NullChecker()
 
 
 class Checker:

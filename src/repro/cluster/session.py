@@ -24,7 +24,6 @@ from typing import Any, Callable, Generator
 from repro.errors import DeadlockError
 from repro.madeleine.session import MadeleineSession, MadProcess
 from repro.mpi.devices.ch_mad.device import ChMadDevice
-from repro.mpi.devices.ch_p4 import ChP4Device
 from repro.mpi.devices.ch_self import ChSelfDevice
 from repro.mpi.devices.smp_plug import SmpPlugDevice
 from repro.mpi.environment import MPIEnv
@@ -60,6 +59,17 @@ class MPIWorld:
     # -- construction ---------------------------------------------------------
 
     def _build(self) -> None:
+        """Build the world in one pass, O(ranks) in total.
+
+        Session-wide facts are read from the configuration once, here:
+        the node of every rank (one ``node_of_rank()`` call, one shared
+        tuple), whether the world spans more than one node, the gateway
+        routes, the world group.  Per rank only the rank's own objects
+        are built.  Optional machinery is imported only when the
+        configuration selects it (FT here, ch_p4 in
+        :meth:`_inter_device_factory`, the reliable transport and the
+        fault machinery in the Madeleine session).
+        """
         config = self.config
         # One shared tuple for the whole world: MPIEnv keeps whatever
         # tuple it is handed (tuple(t) is t), so converting here makes
@@ -134,6 +144,11 @@ class MPIWorld:
         for rank, node_index in enumerate(node_of_rank):
             ranks_by_node[node_index].append(rank)
 
+        # A single-node world needs no inter-node device.
+        make_inter = None
+        if len(ranks_by_node) > 1:
+            make_inter = self._inter_device_factory(channels)
+
         smp_devices: dict[int, SmpPlugDevice] = {}
         for env in self.envs:
             self_device = ChSelfDevice(env.progress)
@@ -141,7 +156,7 @@ class MPIWorld:
             if len(ranks_by_node[env.node]) > 1:
                 smp_device = SmpPlugDevice(env.progress, env.rank)
                 smp_devices[env.rank] = smp_device
-            inter_device = self._make_inter_device(env, channels)
+            inter_device = make_inter(env) if make_inter else None
             env.install_devices(self_device, smp_device, inter_device)
             env.make_comm_world(world_group)
 
@@ -151,16 +166,15 @@ class MPIWorld:
             peers = {r: smp_devices[r] for r in ranks_by_node[node]}
             device.connect(peers)
             device.start()
-        # One shared all-to-all peer map for every ch_p4 device (it was
-        # rebuilt and copied per rank: O(ranks²) dict entries).
-        p4_peers = {e.rank: e.inter_device for e in self.envs
-                    if isinstance(e.inter_device, ChP4Device)}
+        if config.device == "ch_p4" and make_inter is not None:
+            # One shared all-to-all peer map for every ch_p4 device (it
+            # was rebuilt and copied per rank: O(ranks²) dict entries).
+            p4_peers = {e.rank: e.inter_device for e in self.envs}
+            for env in self.envs:
+                env.inter_device.connect(p4_peers, shared=True)
         for env in self.envs:
-            inter = env.inter_device
-            if isinstance(inter, ChP4Device):
-                inter.connect(p4_peers, shared=True)
-            if inter is not None:
-                inter.start()
+            if env.inter_device is not None:
+                env.inter_device.start()
         if self.session.detector is not None:
             for env in self.envs:
                 if isinstance(env.inter_device, ChMadDevice):
@@ -168,32 +182,38 @@ class MPIWorld:
                 if env.ft is not None:
                     env.ft.start()
 
-    def _make_inter_device(self, env: MPIEnv, channels: dict):
+    def _inter_device_factory(self, channels: dict):
+        """``env -> inter-node device`` for a world spanning >= 2 nodes.
+
+        Everything that does not depend on the rank (the device kind,
+        the gateway routes) is settled once here, not once per rank.
+        """
         config = self.config
-        if config.world_size == 1 or len(set(config.node_of_rank())) == 1:
-            # Single node: no inter-node device needed.
-            return None
         if config.device == "ch_p4":
-            return ChP4Device(env.progress, env.rank,
-                              self.session.fabrics["tcp"])
-        ports = {}
-        for protocol, channel in channels.items():
-            if env.rank in channel.ports:
-                ports[protocol] = channel.port(env.rank)
-        if not ports:
-            return None
-        forward_routes = None
+            from repro.mpi.devices.ch_p4 import ChP4Device
+            fabric = self.session.fabrics["tcp"]
+            return lambda env: ChP4Device(env.progress, env.rank, fabric)
+        routes = {}
         if config.forwarding:
             from repro.cluster.topology import compute_gateway_routes
-            forward_routes = compute_gateway_routes(config).get(env.rank, {})
-        return ChMadDevice(
-            env.progress, env.rank, ports,
-            per_network_thresholds=config.per_network_thresholds,
-            preference=config.channel_preference,
-            forward_routes=forward_routes,
-            padded_short_packets=config.padded_short_packets,
-            rdma_rendezvous=config.rdma,
-        )
+            routes = compute_gateway_routes(config)
+
+        def make(env: MPIEnv):
+            ports = {protocol: channel.port(env.rank)
+                     for protocol, channel in channels.items()
+                     if env.rank in channel.ports}
+            if not ports:
+                return None
+            return ChMadDevice(
+                env.progress, env.rank, ports,
+                per_network_thresholds=config.per_network_thresholds,
+                preference=config.channel_preference,
+                forward_routes=(routes.get(env.rank, {})
+                                if config.forwarding else None),
+                padded_short_packets=config.padded_short_packets,
+                rdma_rendezvous=config.rdma,
+            )
+        return make
 
     # -- execution ----------------------------------------------------------------
 

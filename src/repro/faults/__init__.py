@@ -11,19 +11,13 @@ something to survive.
 Everything is deterministic: a :class:`FaultPlan` plus the engine seed
 fully determines every injected fault, so faulty runs replay
 bit-for-bit.
+
+This package exports the plan and its helpers only.  The machinery a
+plan switches on — :mod:`repro.faults.injector` and
+:mod:`repro.faults.death` — is imported by the Madeleine session when a
+plan (or ``ft``) asks for it; import its names from those modules.
 """
 
-from repro.faults.death import (
-    DeathController,
-    FailureDetector,
-)
-from repro.faults.injector import (
-    CORRUPT,
-    DELIVER,
-    DROP,
-    FaultDecision,
-    FaultInjector,
-)
 from repro.faults.plan import (
     FabricFaults,
     FaultPlan,
@@ -34,14 +28,7 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "CORRUPT",
-    "DELIVER",
-    "DROP",
-    "DeathController",
-    "FailureDetector",
     "FabricFaults",
-    "FaultDecision",
-    "FaultInjector",
     "FaultPlan",
     "LinkDown",
     "NodeDeath",

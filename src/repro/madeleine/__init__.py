@@ -29,14 +29,13 @@ from repro.madeleine.constants import (
     ReceiveMode,
     SendMode,
 )
-from repro.madeleine.channel import Channel, ChannelPort, Connection
-from repro.madeleine.message import IncomingMessage, OutgoingMessage, PackedBlock
-from repro.madeleine.reliable import (
-    ChannelHealthMonitor,
+from repro.madeleine.channel import (
+    Channel,
+    ChannelPort,
+    Connection,
     DeadChannelNotice,
-    MadAck,
-    ReliableTransport,
 )
+from repro.madeleine.message import IncomingMessage, OutgoingMessage, PackedBlock
 from repro.madeleine.session import MadProcess, MadeleineSession
 from repro.madeleine.interface import (
     mad_begin_packing,
@@ -49,13 +48,10 @@ from repro.madeleine.interface import (
 
 __all__ = [
     "Channel",
-    "ChannelHealthMonitor",
     "ChannelPort",
     "Connection",
     "DeadChannelNotice",
     "IncomingMessage",
-    "MadAck",
-    "ReliableTransport",
     "MadProcess",
     "MadeleineSession",
     "OutgoingMessage",

@@ -14,12 +14,12 @@ Madeleine usage) or a ch_mad polling thread consumes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import ChannelError
 from repro.marcel.polling import PollSource
 from repro.madeleine.message import IncomingMessage, MadWireMessage, OutgoingMessage, PackedBlock
-from repro.madeleine.reliable import DeadChannelNotice, PendingSend
 from repro.networks.fabric import Delivery
 from repro.networks.nic import ProtocolEndpoint
 from repro.networks.params import ProtocolParams
@@ -28,6 +28,35 @@ from repro.sim.sync import Mailbox
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.madeleine.session import MadProcess
+    from repro.sim.engine import Event
+
+
+@dataclass(frozen=True)
+class DeadChannelNotice:
+    """Posted into every port queue of a channel the moment it dies.
+
+    Wakes receivers blocked on the channel so they can adapt (striping
+    drops the rail); consumers that keep waiting are still correct —
+    in-flight traffic of a dead channel is tunnelled to its original
+    ports.
+    """
+
+    channel: "Channel"
+
+
+@dataclass
+class PendingSend:
+    """Sender-side state of one unacknowledged wire message."""
+
+    wire: Any
+    nbytes: int
+    attempts: int = 0               # retransmissions performed so far
+    timer: "Event | None" = field(default=None, repr=False)
+
+    def cancel_timer(self) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
 
 
 class Channel:

@@ -38,17 +38,17 @@ of software reliability lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import FailoverExhaustedError, TransportError
+from repro.madeleine.channel import DeadChannelNotice, PendingSend
 from repro.sim.coroutines import charge
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.madeleine.channel import Channel, ChannelPort, Connection
     from repro.madeleine.session import MadProcess
     from repro.networks.fabric import Delivery
-    from repro.sim.engine import Event
 
 #: Wire size of one transport acknowledgement (header-only message).
 ACK_WIRE_BYTES = 16
@@ -67,34 +67,6 @@ class MadAck:
     source_rank: int    # the acknowledging process
     dest_rank: int      # the original sender
     ack_seq: int
-
-
-@dataclass(frozen=True)
-class DeadChannelNotice:
-    """Posted into every port queue of a channel the moment it dies.
-
-    Wakes receivers blocked on the channel so they can adapt (striping
-    drops the rail); consumers that keep waiting are still correct —
-    in-flight traffic of a dead channel is tunnelled to its original
-    ports.
-    """
-
-    channel: "Channel"
-
-
-@dataclass
-class PendingSend:
-    """Sender-side state of one unacknowledged wire message."""
-
-    wire: Any
-    nbytes: int
-    attempts: int = 0               # retransmissions performed so far
-    timer: "Event | None" = field(default=None, repr=False)
-
-    def cancel_timer(self) -> None:
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
 
 
 class ReliableTransport:
@@ -293,10 +265,15 @@ class ReliableTransport:
     # -- receiver side -------------------------------------------------------
 
     def receive(self, port: "ChannelPort", delivery: "Delivery") -> None:
-        """Admit one delivery: checksum, ack, deduplicate, reorder."""
+        """Admit one delivery: an ack is consumed, anything else is
+        checksummed, acked, deduplicated and reordered."""
         if self.process.dead:
             return
         wire = delivery.payload
+        if isinstance(wire, MadAck):
+            if not delivery.corrupted:  # a corrupted ack is a lost ack
+                self.handle_ack(port, wire)
+            return
         src = wire.source_rank
         ins = self.engine.instruments
         if delivery.corrupted:

@@ -9,23 +9,20 @@ for a set of member processes — the paper's "session" initialization.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ChannelError, ConfigurationError
 from repro.madeleine.channel import Channel, ChannelPort
-from repro.madeleine.reliable import (
-    ChannelHealthMonitor,
-    MadAck,
-    ReliableTransport,
-)
 from repro.marcel.thread import MarcelRuntime
 from repro.networks import ENDPOINT_CLASSES, PROTOCOL_PARAMS, base_protocol
-from repro.networks.fabric import Delivery, NetworkFabric
-from repro.networks.ib import HcaAck, RdmaOp
+from repro.networks.fabric import Delivery, HcaAck, NetworkFabric, RdmaOp
 from repro.networks.memory import MemoryModel
 from repro.networks.nic import ProtocolEndpoint
 from repro.networks.params import ProtocolParams
 from repro.sim.engine import Engine
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.madeleine.reliable import ChannelHealthMonitor, ReliableTransport
 
 
 class MadProcess:
@@ -125,10 +122,6 @@ class MadProcess:
                 f"{channel_id!r}"
             )
         if self.transport is not None:
-            if isinstance(wire, MadAck):
-                if not delivery.corrupted:  # a corrupted ack is a lost ack
-                    self.transport.handle_ack(port, wire)
-                return
             self.transport.receive(port, delivery)
             return
         port.incoming.post(delivery)
@@ -162,9 +155,10 @@ class MadeleineSession:
         self.ft = ft or (fault_plan is not None and bool(fault_plan.deaths))
         #: Detection rides the reliable transport's timeouts: ft forces it.
         self.reliable = reliable or fault_plan is not None or self.ft
-        self.health: ChannelHealthMonitor | None = (
-            ChannelHealthMonitor(self.engine) if self.reliable else None
-        )
+        self.health: ChannelHealthMonitor | None = None
+        if self.reliable:
+            from repro.madeleine.reliable import ChannelHealthMonitor
+            self.health = ChannelHealthMonitor(self.engine)
         self._injector = None
         if fault_plan is not None:
             from repro.faults.injector import FaultInjector
@@ -217,6 +211,7 @@ class MadeleineSession:
         process = MadProcess(self.engine, rank=len(self.processes), name=name,
                              memory=memory, switch_cost=switch_cost)
         if self.reliable:
+            from repro.madeleine.reliable import ReliableTransport
             process.transport = ReliableTransport(process, self.health)
         process.detector = self.detector
         self.processes.append(process)

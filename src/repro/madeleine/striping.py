@@ -23,7 +23,7 @@ from repro.madeleine.constants import (
     RECEIVE_EXPRESS,
     SEND_CHEAPER,
 )
-from repro.madeleine.reliable import DeadChannelNotice
+from repro.madeleine.channel import DeadChannelNotice
 from repro.sim.coroutines import wait
 from repro.sim.sync import MailboxSelect
 

@@ -14,9 +14,11 @@ and an inter-node phase among one *leader* per node over ch_mad:
 The node/leader subcommunicators are derived once per communicator via
 :meth:`~repro.mpi.communicator.Communicator.split_type` and cached; the
 first hierarchical call on a communicator therefore pays the (collective)
-setup cost and later calls reuse it.  All internal phases run the *flat
-default* algorithms directly — resolving through the registry again
-would recurse when a hierarchical algorithm is selected globally.
+setup cost and later calls reuse it.  The locality tables behind them
+are computed once per group (:meth:`~repro.mpi.group.Group.locality`),
+not once per rank.  All internal phases run the *flat default*
+algorithms directly — resolving through the registry again would
+recurse when a hierarchical algorithm is selected globally.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.mpi.coll.registry import register
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.communicator import Communicator
+    from repro.mpi.group import Locality
 
 
 @dataclass
@@ -42,16 +45,9 @@ class HierComms:
     node_comm: "Communicator"
     #: One leader per node (node_comm rank 0); None on non-leaders.
     leader_comm: "Communicator | None"
-    #: node index of every communicator rank (locally derived).
-    node_of: tuple[int, ...]
-    #: node index -> lowest communicator rank on that node (the leader).
-    leader_of_node: dict[int, int]
-    #: node index -> that leader's rank inside leader_comm.
-    leader_index_of_node: dict[int, int]
-    #: True when comm ranks fill nodes contiguously, which makes the
-    #: node-then-leader reduction order equal the rank order (and the
-    #: decomposition safe for non-commutative operators).
-    contiguous: bool
+    #: The group's shared node tables: node of every rank, leader and
+    #: leader index per node, contiguity (safe non-commutative folds).
+    locality: "Locality"
 
 
 def hier_comms(comm: "Communicator") -> Generator:
@@ -59,23 +55,16 @@ def hier_comms(comm: "Communicator") -> Generator:
 
     Collective: the first call must happen at the same point on every
     rank, which any hierarchical collective guarantees by construction.
+    The tables (node of each rank, leaders, the node and leader groups)
+    are the group's :class:`~repro.mpi.group.Locality`, built once per
+    group and shared by every rank and every ``dup``; each rank only
+    wraps them in its own communicators.
     """
     cached = getattr(comm, "_hier_cache", None)
     if cached is not None:
         return cached
-    env = comm.env
-    node_of = tuple(env.node_of_rank[comm._dest_world(r)]
-                    for r in range(comm.size))
-    leader_of_node: dict[int, int] = {}
-    for rank, node in enumerate(node_of):
-        leader_of_node.setdefault(node, rank)
-    leader_ranks = sorted(leader_of_node.values())
-    leader_index_of_node = {node: leader_ranks.index(rank)
-                            for node, rank in leader_of_node.items()}
-    contiguous = all(node_of[i] <= node_of[i + 1]
-                     for i in range(len(node_of) - 1))
+    locality = comm._peer_group.locality(comm.env.node_of_rank)
     node_comm = yield from comm.split_type()
-    is_leader = node_comm.rank == 0
     # Leader membership is locally derivable (lowest comm rank per node,
     # ordered by comm rank — the same order the old
     # ``comm.split(0/UNDEFINED, key=comm.rank)`` produced), so the
@@ -83,18 +72,12 @@ def hier_comms(comm: "Communicator") -> Generator:
     # at 1000+ ranks.  Agree with a barrier and build the communicator
     # locally — the ``split_type()`` mechanism.
     from repro.mpi.communicator import Communicator
-    from repro.mpi.group import Group
     yield from _flat.barrier(comm)
     context = comm.env.allocate_context()
-    if is_leader:
-        leader_comm = Communicator(
-            comm.env,
-            Group([comm._dest_world(r) for r in leader_ranks]),
-            context)
-    else:
-        leader_comm = None
-    cache = HierComms(node_comm, leader_comm, node_of, leader_of_node,
-                      leader_index_of_node, contiguous)
+    leader_comm = None
+    if node_comm.rank == 0:
+        leader_comm = Communicator(comm.env, locality.leader_group, context)
+    cache = HierComms(node_comm, leader_comm, locality)
     comm._hier_cache = cache
     comm._derived_comms += tuple(sub for sub in (node_comm, leader_comm)
                                  if sub is not None)
@@ -106,8 +89,9 @@ def bcast_hier(comm: "Communicator", obj: Any, root: int = 0) -> Generator:
     _flat._check_root(comm, root)
     hier = yield from hier_comms(comm)
     tag = comm._coll_tag()  # every rank, in lockstep (even if unused)
-    root_node = hier.node_of[root]
-    root_leader = hier.leader_of_node[root_node]
+    locality = hier.locality
+    root_node = locality.node_of[root]
+    root_leader = locality.leader_of_node[root_node]
     if root != root_leader:
         if comm.rank == root:
             yield from _csend(comm, obj, root_leader, tag)
@@ -115,7 +99,7 @@ def bcast_hier(comm: "Communicator", obj: Any, root: int = 0) -> Generator:
             obj = yield from _crecv(comm, root, tag)
     if hier.leader_comm is not None:
         obj = yield from _flat.bcast(hier.leader_comm, obj,
-                                     hier.leader_index_of_node[root_node])
+                                     locality.leader_index_of_node[root_node])
     obj = yield from _flat.bcast(hier.node_comm, obj, 0)
     return obj
 
@@ -125,18 +109,19 @@ def reduce_hier(comm: "Communicator", obj: Any, op: Op,
     """Intra-node reduce -> leader reduce -> hand to ``root``."""
     _flat._check_root(comm, root)
     hier = yield from hier_comms(comm)
-    if not op.commutative and not hier.contiguous:
+    if not op.commutative and not hier.locality.contiguous:
         # Scattered placement breaks rank-order folding; stay flat.
         result = yield from _flat.reduce(comm, obj, op, root)
         return result
     tag = comm._coll_tag()
-    root_node = hier.node_of[root]
-    root_leader = hier.leader_of_node[root_node]
+    locality = hier.locality
+    root_node = locality.node_of[root]
+    root_leader = locality.leader_of_node[root_node]
     value = yield from _flat.reduce(hier.node_comm, obj, op, 0)
     if hier.leader_comm is not None:
         value = yield from _flat.reduce(
             hier.leader_comm, value, op,
-            hier.leader_index_of_node[root_node])
+            locality.leader_index_of_node[root_node])
     if root != root_leader:
         if comm.rank == root_leader:
             yield from _csend(comm, value, root, tag)
@@ -157,7 +142,7 @@ def allreduce_hier(comm: "Communicator", obj: Any, op: Op) -> Generator:
     order, so the folds stay rank-ordered either way).
     """
     hier = yield from hier_comms(comm)
-    if not op.commutative and not hier.contiguous:
+    if not op.commutative and not hier.locality.contiguous:
         result = yield from _flat.allreduce(comm, obj, op)
         return result
     value = yield from _flat.reduce(hier.node_comm, obj, op, 0)

@@ -89,6 +89,11 @@ class Communicator:
         """Valid range bound for dest/source arguments."""
         return self.group.size
 
+    @property
+    def _peer_group(self) -> Group:
+        """The group :meth:`_dest_world` indexes."""
+        return self.group
+
     def _check_live(self) -> None:
         if self.freed:
             raise MPICommError("operation on a freed communicator")
@@ -570,7 +575,11 @@ class Communicator:
         map (:attr:`MPIEnv.node_of_rank`), so with the default ``key``
         no rank exchange is needed beyond a barrier — membership and
         ordering (by communicator rank) are locally derivable on every
-        rank.  ``UNDEFINED`` evaluates to None, like :meth:`split`.
+        rank.  The membership is read from the group's
+        :class:`~repro.mpi.group.Locality`, built once per group and
+        shared by all its ranks, so every rank of a node gets the same
+        node :class:`~repro.mpi.group.Group` in O(1).  ``UNDEFINED``
+        evaluates to None, like :meth:`split`.
         """
         self._check_live()
         if split_type == UNDEFINED:
@@ -586,10 +595,9 @@ class Communicator:
             return result
         yield from _flat.barrier(self)
         context = self.env.allocate_context()
-        node_of = self.env.node_of_rank
-        world_ranks = [self._dest_world(r) for r in range(self.size)
-                       if node_of[self._dest_world(r)] == self.env.node]
-        return Communicator(self.env, Group(world_ranks), context)
+        locality = self._peer_group.locality(self.env.node_of_rank)
+        node_group = locality.node_groups.get(self.env.node, Group(()))
+        return Communicator(self.env, node_group, context)
 
     def create(self, group: Group) -> Generator:
         """Collective over this comm: new communicator for ``group``."""

@@ -7,12 +7,12 @@ The paper's three-device structure (§4.1, Figure 3):
 - :mod:`~repro.mpi.devices.ch_mad` — **all** inter-node communication
   through Madeleine channels (the paper's contribution);
 - :mod:`~repro.mpi.devices.ch_p4` — the classic MPICH TCP device,
-  implemented as the Figure-6 baseline.
+  implemented as the Figure-6 baseline.  Not re-exported here: the
+  cluster session imports it only for ``device="ch_p4"`` worlds.
 """
 
 from repro.mpi.devices.ch_self import ChSelfDevice
 from repro.mpi.devices.smp_plug import SmpPlugDevice
-from repro.mpi.devices.ch_p4 import ChP4Device
 from repro.mpi.devices.ch_mad import ChMadDevice
 
-__all__ = ["ChMadDevice", "ChP4Device", "ChSelfDevice", "SmpPlugDevice"]
+__all__ = ["ChMadDevice", "ChSelfDevice", "SmpPlugDevice"]

@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import MPIError
-from repro.madeleine.channel import ChannelPort
-from repro.madeleine.reliable import DeadChannelNotice
+from repro.madeleine.channel import ChannelPort, DeadChannelNotice
 from repro.madeleine.constants import RECEIVE_CHEAPER, RECEIVE_EXPRESS, SEND_CHEAPER
 from repro.marcel.polling import PollingThread
 from repro.mpi.adi.packets import RndvToken
@@ -85,7 +84,11 @@ class ChannelPoller:
         )
 
     def stop(self) -> None:
+        # Dropping the thread breaks the poller -> thread -> bound
+        # ``self.handle`` cycle, so a torn-down world is freed by
+        # reference counting (as SmpPlugDevice.shutdown does).
         self.thread.stop()
+        self.thread = None
 
     # -- the handler (runs in the polling thread) -----------------------------
 
@@ -174,6 +177,7 @@ class RdmaCompletionPoller:
 
     def stop(self) -> None:
         self.thread.stop()
+        self.thread = None  # breaks the cycle, as ChannelPoller.stop
 
     def handle(self, op: Any) -> Generator:
         device = self.device

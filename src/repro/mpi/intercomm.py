@@ -57,6 +57,10 @@ class Intercommunicator(Communicator):
     def _peer_size(self) -> int:
         return self.remote_group.size
 
+    @property
+    def _peer_group(self) -> Group:
+        return self.remote_group
+
     # -- collectives: only merge is provided (MPI-1 scope) ---------------------
 
     def _no_collectives(self, *args: Any, **kwargs: Any):

@@ -16,30 +16,54 @@ Structure:
 - :mod:`repro.networks.tcp` / :mod:`~repro.networks.sisci` /
   :mod:`~repro.networks.bip` — protocol-specific endpoints and calibrated
   parameter sets.
+- :mod:`repro.networks.ib` — the InfiniBand model (RDMA, registration
+  cache).  Not re-exported here: it is imported where it is used, and
+  ``PROTOCOL_PARAMS["ib"]`` / ``ENDPOINT_CLASSES["ib"]`` import it on
+  first lookup.
 """
 
 from repro.networks.bip import BIP_MYRINET, BipEndpoint
 from repro.networks.fabric import Adapter, Delivery, NetworkFabric
-from repro.networks.ib import IB_4X, IbEndpoint, IbParams, RegistrationCache
 from repro.networks.memory import MemoryModel, PAPER_NODE_MEMORY
 from repro.networks.nic import ProtocolEndpoint
 from repro.networks.params import MemoryParams, ProtocolParams
 from repro.networks.sisci import SISCI_SCI, SisciEndpoint
 from repro.networks.tcp import TCP_FAST_ETHERNET, TcpEndpoint
 
-PROTOCOL_PARAMS = {
+
+class _Canned(dict):
+    """``protocol -> value`` whose ``"ib"`` entry is imported on first
+    lookup, so a run without InfiniBand never compiles networks/ib.py."""
+
+    def __init__(self, ib_name: str, entries: dict):
+        super().__init__(entries)
+        self._ib_name = ib_name
+
+    def __missing__(self, protocol: str):
+        if protocol != "ib":
+            raise KeyError(protocol)
+        from repro.networks import ib
+        value = self[protocol] = getattr(ib, self._ib_name)
+        return value
+
+    def get(self, protocol: str, default=None):
+        try:
+            return self[protocol]
+        except KeyError:
+            return default
+
+
+PROTOCOL_PARAMS = _Canned("IB_4X", {
     "tcp": TCP_FAST_ETHERNET,
     "sisci": SISCI_SCI,
     "bip": BIP_MYRINET,
-    "ib": IB_4X,
-}
+})
 
-ENDPOINT_CLASSES = {
+ENDPOINT_CLASSES = _Canned("IbEndpoint", {
     "tcp": TcpEndpoint,
     "sisci": SisciEndpoint,
     "bip": BipEndpoint,
-    "ib": IbEndpoint,
-}
+})
 
 
 def base_protocol(name: str) -> str:
@@ -57,9 +81,6 @@ __all__ = [
     "BipEndpoint",
     "Delivery",
     "ENDPOINT_CLASSES",
-    "IB_4X",
-    "IbEndpoint",
-    "IbParams",
     "MemoryModel",
     "MemoryParams",
     "NetworkFabric",
@@ -67,7 +88,6 @@ __all__ = [
     "PROTOCOL_PARAMS",
     "ProtocolEndpoint",
     "ProtocolParams",
-    "RegistrationCache",
     "SISCI_SCI",
     "SisciEndpoint",
     "TCP_FAST_ETHERNET",

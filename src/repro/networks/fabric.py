@@ -16,10 +16,13 @@ Madeleine driver's polling handler) — the fabric only moves bytes.
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from repro.errors import NetworkError, RouteError
 from repro.sim.engine import Engine
+from repro.sim.sync import Flag
 from repro.networks.params import ProtocolParams
 
 
@@ -43,6 +46,55 @@ class Delivery(NamedTuple):
     #: delivery as a loss; without reliability the poison reaches the
     #: application (exactly what an unchecksummed DMA network would do).
     corrupted: bool = False
+
+
+# The RDMA wire records live here, not in networks/ib.py: the InfiniBand
+# model builds them, but every process's delivery demux tells them from
+# channel traffic, and a run without IB must not compile the IB model.
+_op_ids = itertools.count(1)
+
+
+class RdmaOp:
+    """One RDMA work request on the wire (write, read request, read data).
+
+    Doubles as the initiator-side completion handle: the HCA ack (or the
+    read-data packet) sets :attr:`flag`.  Carries ``source_rank`` so the
+    receiving node's failure detector counts RDMA traffic as liveness
+    evidence, like any other wire message.
+    """
+
+    __slots__ = ("op_id", "kind", "source_rank", "nbytes", "header",
+                 "sync_id", "envelope", "data", "key", "offset",
+                 "flag", "completed", "error")
+
+    def __init__(self, kind: str, source_rank: int, nbytes: int, *,
+                 op_id: int | None = None, header: Any = None,
+                 sync_id: int = 0, envelope: Any = None, data: Any = None,
+                 key: Any = None, offset: int = 0):
+        self.op_id = next(_op_ids) if op_id is None else op_id
+        self.kind = kind            # "write" | "read" | "read-data"
+        self.source_rank = source_rank
+        self.nbytes = nbytes
+        self.header = header        # synthetic ch_mad header (write ops)
+        self.sync_id = sync_id
+        self.envelope = envelope
+        self.data = data
+        self.key = key              # exposed-region key (read ops)
+        self.offset = offset
+        self.flag = Flag(name=f"rdma-op-{self.op_id}")
+        self.completed = False
+        self.error: Exception | None = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<RdmaOp #{self.op_id} {self.kind} {self.nbytes}B>"
+
+
+@dataclass(frozen=True)
+class HcaAck:
+    """Hardware-level acknowledgement of one :class:`RdmaOp`."""
+
+    op_id: int
+    source_rank: int
 
 
 class Adapter:

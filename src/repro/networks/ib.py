@@ -29,18 +29,17 @@ discipline is preserved by construction.
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.errors import FailoverExhaustedError
 from repro.marcel.polling import PollMode
-from repro.networks.fabric import Delivery
+from repro.networks.fabric import Delivery, HcaAck, RdmaOp
 from repro.networks.nic import ProtocolEndpoint
 from repro.networks.params import ProtocolParams
 from repro.sim.coroutines import charge, wait
-from repro.sim.sync import Flag, Mailbox
+from repro.sim.sync import Mailbox
 from repro.units import us
 
 #: Wire size of an HCA-level acknowledgement packet.
@@ -123,52 +122,6 @@ class RegistrationCache:
             self.evictions += 1
             return old_key
         return None
-
-
-_op_ids = itertools.count(1)
-
-
-class RdmaOp:
-    """One RDMA work request on the wire (write, read request, read data).
-
-    Doubles as the initiator-side completion handle: the HCA ack (or the
-    read-data packet) sets :attr:`flag`.  Carries ``source_rank`` so the
-    receiving node's failure detector counts RDMA traffic as liveness
-    evidence, like any other wire message.
-    """
-
-    __slots__ = ("op_id", "kind", "source_rank", "nbytes", "header",
-                 "sync_id", "envelope", "data", "key", "offset",
-                 "flag", "completed", "error")
-
-    def __init__(self, kind: str, source_rank: int, nbytes: int, *,
-                 op_id: int | None = None, header: Any = None,
-                 sync_id: int = 0, envelope: Any = None, data: Any = None,
-                 key: Any = None, offset: int = 0):
-        self.op_id = next(_op_ids) if op_id is None else op_id
-        self.kind = kind            # "write" | "read" | "read-data"
-        self.source_rank = source_rank
-        self.nbytes = nbytes
-        self.header = header        # synthetic ch_mad header (write ops)
-        self.sync_id = sync_id
-        self.envelope = envelope
-        self.data = data
-        self.key = key              # exposed-region key (read ops)
-        self.offset = offset
-        self.flag = Flag(name=f"rdma-op-{self.op_id}")
-        self.completed = False
-        self.error: Exception | None = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<RdmaOp #{self.op_id} {self.kind} {self.nbytes}B>"
-
-
-@dataclass(frozen=True)
-class HcaAck:
-    """Hardware-level acknowledgement of one :class:`RdmaOp`."""
-
-    op_id: int
-    source_rank: int
 
 
 class IbEndpoint(ProtocolEndpoint):

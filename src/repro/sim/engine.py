@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.check.checker import NULL_CHECKER, Checker
+from repro.check import NULL_CHECKER
 from repro.errors import SimulationError
 from repro.sim.metrics import NULL_INSTRUMENTS, Instrumentation
 from repro.sim.trace import NULL_TRACER
@@ -105,9 +105,9 @@ def install_instrumentation(engine: "Engine") -> Instrumentation:
     return instruments
 
 
-def install_checker(engine: "Engine",
-                    raise_on_violation: bool = True) -> Checker:
-    """Install and return the live online semantics checker on ``engine``.
+def install_checker(engine: "Engine", raise_on_violation: bool = True):
+    """Install and return the live online semantics checker on ``engine``
+    (imports :mod:`repro.check.checker`, which no other run compiles).
 
     Every protocol hook in the stack (ADI sends/matches, ch_mad packet
     handlers, Madeleine transmissions, the reliable transport,
@@ -115,6 +115,7 @@ def install_checker(engine: "Engine",
     raise :class:`~repro.errors.CheckViolation` (or, with
     ``raise_on_violation=False``, accumulate in ``checker.violations``).
     """
+    from repro.check.checker import Checker
     checker = Checker(engine, raise_on_violation=raise_on_violation)
     engine.checker = checker
     return checker
@@ -231,8 +232,7 @@ class Engine:
             install_fuzz(self, config.fuzz_seed, **dict(config.fuzz_params))
         if config.coll_algorithm is not None:
             # Validate against the registry now, so a typo fails the run
-            # before any rank starts (lazy import: the registry lives in
-            # the MPI layer, which imports this module).
+            # before any rank starts (lazy: the MPI layer imports us).
             from repro.mpi.coll import parse_selection
             self.coll_selection = parse_selection(config.coll_algorithm)
         return self

@@ -20,12 +20,12 @@ from repro.errors import (
 )
 from repro.faults import (
     FabricFaults,
-    FaultInjector,
     FaultPlan,
     LinkDown,
     fabric_death,
     lossy_plan,
 )
+from repro.faults.injector import FaultInjector
 from repro.mpi.devices.ch_mad.switchpoints import SWITCH_POINTS
 from repro.sim import CPU, Engine, Mailbox, MailboxSelect, wait
 from repro.sim.engine import install_instrumentation
