@@ -63,16 +63,26 @@ lives in
 
 from __future__ import annotations
 
+import weakref
 from functools import wraps
 from typing import Any, Callable
 
 from repro.errors import CheckViolation
+from repro.sim.sync import Flag, Mailbox
 
-#: The CPU whose running task owed time last (``CPU.owe``), whichever
-#: engine it belongs to: one task executes at a time and a debt never
-#: outlives its time slice, so a single slot is exact — and
-#: ``Mailbox.post`` / ``Flag.set`` know no engine they could ask.
-_debtor: Any = None
+#: A weak reference to the CPU whose running task owed time last
+#: (``CPU.owe``), whichever engine it belongs to: one task executes at a
+#: time and a debt never outlives its time slice, so a single slot is
+#: exact — and ``Mailbox.post`` / ``Flag.set`` know no engine they could
+#: ask.  Weak, so a finished run's world is not kept alive by it.
+_debtor: "weakref.ref | None" = None
+
+#: Engines with a checker still alive in this process: the class-level
+#: tripwires come off when the last one is collected.
+_armed = 0
+
+#: What the class-level tripwires wrap.
+_CLASS_ACTIONS = ((Mailbox, "post"), (Flag, "set"))
 
 
 def _tripwire(action: str, fn: Callable) -> Callable:
@@ -80,7 +90,7 @@ def _tripwire(action: str, fn: Callable) -> Callable:
 
     @wraps(fn)
     def guarded(*args: Any, **kwargs: Any) -> Any:
-        cpu = _debtor
+        cpu = _debtor() if _debtor is not None else None
         if cpu is not None and cpu.owed:
             cpu.engine.checker.owed_time_leak(cpu, action)
         return fn(*args, **kwargs)
@@ -94,17 +104,31 @@ def _arm_tripwires(engine: Any) -> None:
     Installed when a checker is, so a run without one pays nothing:
     the engine's scheduling entry points are shadowed on the instance;
     ``Mailbox.post`` and ``Flag.set`` have no per-engine instance to
-    shadow and are wrapped on the class, once per process.
+    shadow and are wrapped on the class while any checked engine lives
+    (:func:`_disarm` unwraps them when the last one is collected).
     """
+    global _armed
     for name in ("schedule", "schedule_at", "call_soon", "schedule_discard",
                  "schedule_clock"):
         setattr(engine, name, _tripwire(f"Engine.{name}",
                                         getattr(engine, name)))
-    from repro.sim.sync import Flag, Mailbox
-    for cls, name in ((Mailbox, "post"), (Flag, "set")):
+    for cls, name in _CLASS_ACTIONS:
         method = getattr(cls, name)
         if not hasattr(method, "__wrapped__"):
             setattr(cls, name, _tripwire(f"{cls.__name__}.{name}", method))
+    _armed += 1
+    weakref.finalize(engine, _disarm)
+
+
+def _disarm() -> None:
+    """A checked engine was collected; unwrap the classes after the last."""
+    global _armed, _debtor
+    _armed -= 1
+    if _armed:
+        return
+    _debtor = None
+    for cls, name in _CLASS_ACTIONS:
+        setattr(cls, name, getattr(cls, name).__wrapped__)
 
 
 class Checker:
@@ -181,7 +205,7 @@ class Checker:
     def on_owe(self, cpu: Any) -> None:
         """``cpu``'s running task accrued cost it has yet to pay."""
         global _debtor
-        _debtor = cpu
+        _debtor = weakref.ref(cpu)
 
     def owed_time_leak(self, cpu: Any, action: str) -> None:
         """A tripwire fired: the debtor on ``cpu`` is doing ``action``."""

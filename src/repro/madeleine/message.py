@@ -109,10 +109,6 @@ class OutgoingMessage:
         self._finalized = True
         return self.connection._transmit(tuple(self._blocks))
 
-    @property
-    def block_count(self) -> int:
-        return len(self._blocks)
-
 
 class IncomingMessage:
     """Extract-side state machine: ``unpack*`` then ``end_unpacking``.

@@ -18,6 +18,14 @@ User programs are generator coroutines receiving an
 :class:`~repro.mpi.environment.MPIEnv`; the API mirrors mpi4py's shape:
 lowercase methods move Python objects, uppercase methods move numpy
 buffers with MPI datatypes.
+
+The surface is what the workloads, benchmarks and examples use:
+point-to-point (blocking, non-blocking, synchronous, probe, cancel),
+collectives, ``dup``/``split``/``split_type``, Cartesian and graph
+topologies, one-sided windows and ULFM fault tolerance.  There are no
+intercommunicators, persistent requests, ``MPI_Pack`` buffers,
+buffered sends, ``waitany``-style completion sets, attribute caches or
+group set operations (``benchmarks/perf/reach.py`` gates the surface).
 """
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, UNDEFINED

@@ -127,9 +127,6 @@ class UnexpectedQueue:
                     self.buffered_bytes -= entry.envelope.size
         return purged
 
-    def __iter__(self):
-        return iter(self._entries)
-
     def peek(self, context_id: int, source_pattern: int,
              tag_pattern: int) -> UnexpectedEntry | None:
         """Like :meth:`match` but non-destructive (MPI_Probe)."""

@@ -135,7 +135,3 @@ class SendHandle:
         callback, self.on_request_sent = self.on_request_sent, None
         if callback is not None:
             callback()
-
-    @property
-    def completed(self) -> bool:
-        return self.flag.is_set

@@ -135,10 +135,6 @@ class CartComm(Communicator):
         behind[direction] -= displacement
         return self.rank_of(behind), self.rank_of(ahead)
 
-    def neighbors(self) -> dict[int, tuple[int, int]]:
-        """Per-dimension (source, dest) pairs for unit shifts."""
-        return {d: self.shift(d) for d in range(self.ndims)}
-
 
 def create_cart(comm: Communicator, dims: Sequence[int],
                 periods: Sequence[bool] | None = None,

@@ -63,7 +63,7 @@ def hier_comms(comm: "Communicator") -> Generator:
     cached = getattr(comm, "_hier_cache", None)
     if cached is not None:
         return cached
-    locality = comm._peer_group.locality(comm.env.node_of_rank)
+    locality = comm.group.locality(comm.env.node_of_rank)
     node_comm = yield from comm.split_type()
     # Leader membership is locally derivable (lowest comm rank per node,
     # ordered by comm rank — the same order the old

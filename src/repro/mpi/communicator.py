@@ -49,13 +49,9 @@ class Communicator:
             )
         self._coll_seq = 0
         self.freed = False
-        #: Attribute cache (MPI keyval mechanism, per-communicator).
-        self._attributes: dict[Any, Any] = {}
         if env.ft is not None:
             env.ft.register_comm(self)
 
-    #: True on intercommunicators (MPI_Comm_test_inter).
-    is_inter = False
     #: Subcommunicators the hierarchical and multi-lane collective
     #: families derived from this one (a failed collective poisons
     #: them too; see :meth:`~repro.mpi.ft.FTState.collective_failed`).
@@ -69,30 +65,6 @@ class Communicator:
     def collective_context(self) -> int:
         """Hidden context for collective traffic (the MPICH trick)."""
         return self.context_id + COLLECTIVE_CONTEXT_OFFSET
-
-    # -- rank translation hooks (intercommunicators override these) ---------
-
-    def _dest_world(self, rank: int) -> int:
-        """World rank a send to ``rank`` targets."""
-        return self.group.world_rank(rank)
-
-    def _source_world(self, rank: int) -> int:
-        """World rank a receive from ``rank`` matches."""
-        return self.group.world_rank(rank)
-
-    def _rank_of_world(self, world_rank: int) -> int:
-        """Communicator-relative rank of a sender's world rank."""
-        return self.group.rank_of(world_rank)
-
-    @property
-    def _peer_size(self) -> int:
-        """Valid range bound for dest/source arguments."""
-        return self.group.size
-
-    @property
-    def _peer_group(self) -> Group:
-        """The group :meth:`_dest_world` indexes."""
-        return self.group
 
     def _check_live(self) -> None:
         if self.freed:
@@ -191,26 +163,6 @@ class Communicator:
         self._check_live()
         yield from _p2p.send_impl(self, obj, dest, tag, size, self.context_id,
                                   synchronous=True)
-
-    def bsend(self, obj: Any, dest: int, tag: int = 0,
-              size: int | None = None) -> Generator:
-        """Buffered send: copies into the attached buffer and returns
-        immediately (MPI_Bsend).  Requires :meth:`MPIEnv.attach_buffer`;
-        raises when the buffer cannot hold the message.
-        """
-        self._check_live()
-        from repro.mpi.constants import infer_size
-        nbytes = infer_size(obj) if size is None else int(size)
-        self.env._bsend_reserve(nbytes)
-        # The defining cost of bsend: an extra local copy.
-        yield charge(self.env.progress.memory.copy_cost(nbytes))
-        request = _p2p.isend_impl(self, obj, dest, tag, size, self.context_id)
-
-        def reclaim():
-            yield from request.wait()
-            self.env._bsend_release(nbytes)
-
-        self.env.process.runtime.spawn_temporary(reclaim(), name="bsend")
 
     def isend(self, obj: Any, dest: int, tag: int = 0,
               size: int | None = None) -> SendRequest:
@@ -540,7 +492,7 @@ class Communicator:
     def dup(self) -> Generator:
         """Collective: duplicate this communicator with a fresh context.
 
-        Communicator machinery (dup/split/create/split_type) always runs
+        Communicator machinery (dup/split/split_type) always runs
         the flat default collectives directly: it must work identically
         whatever algorithm selection is active — the hierarchical and
         multi-lane families build their subcommunicators through here.
@@ -595,18 +547,9 @@ class Communicator:
             return result
         yield from _flat.barrier(self)
         context = self.env.allocate_context()
-        locality = self._peer_group.locality(self.env.node_of_rank)
+        locality = self.group.locality(self.env.node_of_rank)
         node_group = locality.node_groups.get(self.env.node, Group(()))
         return Communicator(self.env, node_group, context)
-
-    def create(self, group: Group) -> Generator:
-        """Collective over this comm: new communicator for ``group``."""
-        self._check_live()
-        yield from _flat.barrier(self)
-        context = self.env.allocate_context()
-        if self.env.rank not in group:
-            return None
-        return Communicator(self.env, group, context)
 
     def free(self) -> None:
         """Mark the communicator unusable (MPI_Comm_free)."""
@@ -623,37 +566,6 @@ class Communicator:
         from repro.mpi.win import Win
         win = yield from Win.create(self, size)
         return win
-
-    # -- attribute caching (MPI_Comm_set_attr and friends) ----------------
-
-    def set_attr(self, key: Any, value: Any) -> None:
-        """Cache an attribute on this communicator."""
-        self._check_live()
-        self._attributes[key] = value
-
-    def get_attr(self, key: Any, default: Any = None) -> Any:
-        """Read a cached attribute (None/default if absent)."""
-        return self._attributes.get(key, default)
-
-    def delete_attr(self, key: Any) -> None:
-        """Remove a cached attribute.  Missing keys are ignored."""
-        self._attributes.pop(key, None)
-
-    # -- persistent requests (MPI_Send_init / MPI_Recv_init) -----------------
-
-    def send_init(self, obj: Any, dest: int, tag: int = 0,
-                  size: int | None = None):
-        """Create a persistent send request (start()/wait() repeatedly)."""
-        self._check_live()
-        from repro.mpi.persistent import PersistentSend
-        return PersistentSend(self, obj, dest, tag, size)
-
-    def recv_init(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-                  size: int | None = None):
-        """Create a persistent receive request."""
-        self._check_live()
-        from repro.mpi.persistent import PersistentRecv
-        return PersistentRecv(self, source, tag, size)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Communicator ctx={self.context_id} rank={self.rank}/"
@@ -683,10 +595,6 @@ class _BufferRecvRequest(Request):
         yield from self.comm._fill_buffer(self._array, self._count,
                                           self._datatype, data)
         return status
-
-    def cancel(self) -> bool:
-        """Withdraw the underlying receive (MPI_Cancel)."""
-        return self.inner.cancel()
 
 
 def _elems(datatype: Datatype) -> int:

@@ -103,43 +103,6 @@ class MPIEnv:
         self._next_context += CONTEXTS_PER_COMM
         return context
 
-    def reserve_context(self, context: int) -> None:
-        """Mark ``context`` as taken (intercommunicator handshakes agree
-        on a context that may be ahead of this process's counter)."""
-        self._next_context = max(self._next_context,
-                                 context + CONTEXTS_PER_COMM)
-
-    # -- buffered-send buffer (MPI_Buffer_attach / MPI_Buffer_detach) -------
-
-    def attach_buffer(self, nbytes: int) -> None:
-        """Provide the process-wide buffer used by ``bsend``."""
-        if getattr(self, "_bsend_capacity", 0):
-            from repro.errors import MPIError
-            raise MPIError("a bsend buffer is already attached")
-        self._bsend_capacity = int(nbytes)
-        self._bsend_in_use = 0
-
-    def detach_buffer(self) -> int:
-        """Release the bsend buffer; returns its size.  Blocks nothing:
-        outstanding bsends keep their reservations until completion."""
-        capacity = getattr(self, "_bsend_capacity", 0)
-        self._bsend_capacity = 0
-        return capacity
-
-    def _bsend_reserve(self, nbytes: int) -> None:
-        from repro.errors import MPIError
-        capacity = getattr(self, "_bsend_capacity", 0)
-        in_use = getattr(self, "_bsend_in_use", 0)
-        if in_use + nbytes > capacity:
-            raise MPIError(
-                f"MPI_ERR_BUFFER: bsend of {nbytes} bytes exceeds the "
-                f"attached buffer ({capacity - in_use} of {capacity} free)"
-            )
-        self._bsend_in_use = in_use + nbytes
-
-    def _bsend_release(self, nbytes: int) -> None:
-        self._bsend_in_use = max(0, getattr(self, "_bsend_in_use", 0) - nbytes)
-
     # -- clock ------------------------------------------------------------------------
 
     def wtime(self) -> float:

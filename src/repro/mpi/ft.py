@@ -43,6 +43,7 @@ from repro.mpi.constants import (
     ERR_REVOKED,
     FT_CONTROL_CONTEXT,
     FT_SYNC_CONTEXT,
+    UNDEFINED,
 )
 from repro.sim.coroutines import wait
 
@@ -204,7 +205,8 @@ class FTState:
             if handle.source_pattern == ANY_SOURCE \
                     and handle.context_id < FT_CONTROL_CONTEXT:
                 comm = self.comms.get(self._base(handle.context_id))
-                return comm is not None and rank in comm.group
+                return (comm is not None
+                        and comm.group.rank_of(rank) != UNDEFINED)
             return False
 
         self._sweep_local(doomed,

@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import MPIRankError
 from repro.mpi.constants import UNDEFINED
-
-#: Comparison results (MPI_Group_compare / MPI_Comm_compare).
-IDENT = 0
-SIMILAR = 1
-UNEQUAL = 2
-
 
 class Group:
     """An ordered set of world ranks."""
@@ -67,44 +61,6 @@ class Group:
             cached = self._locality = (node_of_rank,
                                        Locality(self, node_of_rank))
         return cached[1]
-
-    def __contains__(self, world_rank: int) -> bool:
-        return self.rank_of(world_rank) != UNDEFINED
-
-    def compare(self, other: "Group") -> int:
-        """IDENT if same ranks in same order, SIMILAR if same set, else
-        UNEQUAL."""
-        if self.world_ranks == other.world_ranks:
-            return IDENT
-        if set(self.world_ranks) == set(other.world_ranks):
-            return SIMILAR
-        return UNEQUAL
-
-    def translate_ranks(self, ranks: Iterable[int], other: "Group") -> list[int]:
-        """Map our group ranks to the corresponding ranks in ``other``."""
-        return [other.rank_of(self.world_rank(r)) for r in ranks]
-
-    # -- set operations ------------------------------------------------------------
-
-    def union(self, other: "Group") -> "Group":
-        """Our members, then other's members not already present."""
-        extra = [r for r in other.world_ranks if r not in self.world_ranks]
-        return Group(self.world_ranks + tuple(extra))
-
-    def intersection(self, other: "Group") -> "Group":
-        return Group(tuple(r for r in self.world_ranks if r in other.world_ranks))
-
-    def difference(self, other: "Group") -> "Group":
-        return Group(tuple(r for r in self.world_ranks if r not in other.world_ranks))
-
-    def incl(self, ranks: Sequence[int]) -> "Group":
-        """Subgroup of the listed group ranks, in the listed order."""
-        return Group(tuple(self.world_rank(r) for r in ranks))
-
-    def excl(self, ranks: Sequence[int]) -> "Group":
-        """Subgroup without the listed group ranks."""
-        drop = {self.world_rank(r) for r in ranks}
-        return Group(tuple(r for r in self.world_ranks if r not in drop))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Group {self.world_ranks}>"

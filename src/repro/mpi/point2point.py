@@ -47,10 +47,10 @@ def _check_rank(comm: "Communicator", rank: int, *, wildcard: bool,
         return
     if wildcard and rank == ANY_SOURCE:
         return
-    if not 0 <= rank < comm._peer_size:
+    if not 0 <= rank < comm.group.size:
         raise MPIRankError(
             f"{what} rank {rank} out of range for communicator of size "
-            f"{comm._peer_size}"
+            f"{comm.group.size}"
         )
 
 
@@ -138,7 +138,7 @@ def send_impl(comm: "Communicator", data: Any, dest: int, tag: int,
     if dest == PROC_NULL:
         return
     env = comm.env
-    dest_world = comm._dest_world(dest)
+    dest_world = comm.group.world_rank(dest)
     if env.ft is not None and ticket is None:
         # Fault tolerance: fail fast instead of transmitting into a dead
         # rank or a revoked communicator (nothing has been charged yet).
@@ -243,8 +243,8 @@ def isend_impl(comm: "Communicator", data: Any, dest: int, tag: int,
     # thread may run later, but this send's position in the stream is
     # its isend position (MPI non-overtaking).
     ticket = None
-    if dest != PROC_NULL and 0 <= dest < comm._peer_size:
-        dest_world = comm._dest_world(dest)
+    if dest != PROC_NULL and 0 <= dest < comm.group.size:
+        dest_world = comm.group.world_rank(dest)
         gate = send_gate(comm, dest_world, context_id)
         ticket = gate.ticket()
         ins = comm.env.process.engine.instruments
@@ -290,7 +290,7 @@ def irecv_impl(comm: "Communicator", source: int, tag: int,
         handle.set()
         return RecvRequest(handle, comm)
     source_world = (ANY_SOURCE if source == ANY_SOURCE
-                    else comm._source_world(source))
+                    else comm.group.world_rank(source))
     if env.ft is not None:
         failure = env.ft.recv_precheck(context_id, source_world)
         if failure is not None:
@@ -350,7 +350,7 @@ def probe_impl(comm: "Communicator", source: int, tag: int,
     _check_tag(tag, wildcard=True)
     env = comm.env
     source_world = (ANY_SOURCE if source == ANY_SOURCE
-                    else comm._source_world(source))
+                    else comm.group.world_rank(source))
     while True:
         entry = env.progress.unexpected.peek(context_id, source_world, tag)
         if entry is not None:
@@ -364,7 +364,7 @@ def iprobe_impl(comm: "Communicator", source: int, tag: int,
     _check_rank(comm, source, wildcard=True, what="source")
     _check_tag(tag, wildcard=True)
     source_world = (ANY_SOURCE if source == ANY_SOURCE
-                    else comm._source_world(source))
+                    else comm.group.world_rank(source))
     entry = comm.env.progress.unexpected.peek(context_id, source_world, tag)
     if entry is None:
         return False, None
@@ -373,6 +373,6 @@ def iprobe_impl(comm: "Communicator", source: int, tag: int,
 
 def _entry_status(comm: "Communicator", entry) -> Status:
     envelope = entry.envelope
-    return Status(source=comm._rank_of_world(envelope.source),
+    return Status(source=comm.group.rank_of(envelope.source),
                   tag=envelope.tag, count=envelope.size,
                   source_world=envelope.source)

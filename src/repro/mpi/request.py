@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.errors import MPIRequestError, MPITruncationError
+from repro.errors import MPITruncationError
 from repro.mpi.adi.rhandle import RecvHandle
 from repro.mpi.status import Status
 from repro.sim.coroutines import wait
@@ -44,84 +44,6 @@ class Request:
             results.append(result)
         return results
 
-    @staticmethod
-    def testall(requests: list["Request"]) -> tuple[bool, list[Any] | None]:
-        """MPI_Testall: (True, results) only when every request is done."""
-        results = []
-        for request in requests:
-            done, result = request.test()
-            if not done:
-                return False, None
-            results.append(result)
-        return True, results
-
-    @staticmethod
-    def testany(requests: list["Request"]) -> tuple[bool, int, Any]:
-        """MPI_Testany: (flag, index, result) of the first completed."""
-        for i, request in enumerate(requests):
-            done, result = request.test()
-            if done:
-                return True, i, result
-        from repro.mpi.constants import UNDEFINED
-        return False, UNDEFINED, None
-
-    @staticmethod
-    def waitany(requests: list["Request"]) -> Generator:
-        """Wait until at least one completes; evaluates to
-        ``(index, result)`` of the first completed request (lowest index
-        on ties — deterministic under the cooperative scheduler).
-        """
-        if not requests:
-            raise MPIRequestError("waitany over an empty request list")
-        while True:
-            done, index, result = Request.testany(requests)
-            if done:
-                return index, result
-            # Block until any request's flag fires: register a one-shot
-            # forwarding waiter on every pending flag, and take it back
-            # from the flags that did not fire.
-            wake = Flag(name="waitany")
-            forwarder = _FlagForwarder(wake)
-            flags = [request._flag for request in requests]
-            for flag in flags:
-                flag._waiters.append(forwarder)
-            yield wait(wake)
-            for flag in flags:
-                if not flag.is_set:
-                    flag._waiters.remove(forwarder)
-
-    @staticmethod
-    def waitsome(requests: list["Request"]) -> Generator:
-        """MPI_Waitsome: wait for >= 1 completion; evaluates to the list
-        of ``(index, result)`` pairs completed at that moment."""
-        index, result = yield from Request.waitany(requests)
-        completed = [(index, result)]
-        for i, request in enumerate(requests):
-            if i == index:
-                continue
-            done, extra = request.test()
-            if done:
-                completed.append((i, extra))
-        return completed
-
-
-class _FlagForwarder:
-    """A pseudo-task whose wake-up sets a flag (waitany plumbing).
-
-    Quacks like a blocked Task just enough for Flag.set() to wake it.
-    """
-
-    finished = False
-
-    def __init__(self, target: Flag):
-        self._target = target
-        self.cpu = self
-
-    # Flag.set calls task.cpu.make_ready(task, value).
-    def make_ready(self, task: "_FlagForwarder", value: Any = None) -> None:
-        task._target.set(value)
-
-
 class SendRequest(Request):
     """Handle for a non-blocking send (paper: a temporary Marcel thread
     runs the actual transfer, §4.2.3).
@@ -159,7 +81,7 @@ class RecvRequest(Request):
         # No Request.__init__: every blocking receive builds one of these.
         self._flag = self.handle = handle
         #: The communicator, for translating the sender's world rank into
-        #: a communicator-relative (or remote-group) rank in the status.
+        #: a communicator-relative rank in the status.
         self.comm = comm
 
     def cancel(self) -> bool:
@@ -198,5 +120,5 @@ class RecvRequest(Request):
             )
         comm = self.comm
         if comm is not None and status.source_world >= 0:
-            status.source = comm._rank_of_world(status.source_world)
+            status.source = comm.group.rank_of(status.source_world)
         return handle.data, status

@@ -72,10 +72,6 @@ class GetResult:
         self._ready = True
 
     @property
-    def ready(self) -> bool:
-        return self._ready
-
-    @property
     def data(self) -> bytes:
         if not self._ready:
             raise MPIError("Win.get result read before the closing fence")
@@ -302,7 +298,7 @@ class Win:
         checker = env.process.engine.checker
         if checker.enabled:
             checker.on_rma_op(env.rank, self.win_id, op,
-                              self.comm._dest_world(target), op_uid)
+                              self.comm.group.world_rank(target), op_uid)
         if not self._epoch_open:
             raise MPIError(
                 f"RMA {op} outside a fence epoch on win {self.win_id}")
@@ -320,7 +316,7 @@ class Win:
         """(local endpoint, remote endpoint) for a true RDMA read, if the
         pair shares a live IB channel and the device allows RDMA."""
         env = self.comm.env
-        target_world = self.comm._dest_world(target)
+        target_world = self.comm.group.world_rank(target)
         if target_world == env.rank:
             return None
         device = env.select_device(target_world)

@@ -99,12 +99,6 @@ class RegistrationCache:
         self.misses = 0
         self.evictions = 0
 
-    def __contains__(self, key: Any) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def touch(self, key: Any) -> bool:
         """Mark ``key`` used; return True on hit."""
         if key in self._entries:

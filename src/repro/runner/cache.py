@@ -1,9 +1,12 @@
 """Content-addressed on-disk result cache for the batch runner.
 
-Layout: ``<root>/<digest[:2]>/<digest>.json``, one envelope per job
-digest.  The envelope carries the job's canonical description alongside
-the payload, so a cache directory is self-describing (and auditable
-with nothing but ``jq``).  Writes are atomic (temp file + ``os.replace``)
+Layout: ``<root>/<key[:2]>/<key>.json``, one envelope per job digest
+and code digest: the key hashes both, so a result is only ever served
+to the code that made it (:func:`code_digest`), and entries made by
+other versions of the code sit side by side.  The envelope carries the
+job's canonical description and the code digest alongside the payload,
+so a cache directory is self-describing (and auditable with nothing
+but ``jq``).  Writes are atomic (temp file + ``os.replace``)
 so a crashed worker can never leave a half-written entry; reads verify
 the stored ``result_digest`` against the payload and treat any mismatch
 or parse error as a miss — corruption costs a re-run, never a wrong
@@ -12,10 +15,12 @@ result.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
 import time
+from hashlib import sha256
 from pathlib import Path
 from typing import Any
 
@@ -29,8 +34,25 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_ENV, ".repro-cache"))
 
 
+@functools.cache
+def code_digest() -> str:
+    """sha256 of the sources a job can run: every ``repro/**/*.py``
+    except ``cli.py`` and ``runner/`` (they schedule jobs, they compute
+    no result).  Computed once per process, on the first cache access.
+    """
+    package = Path(__file__).resolve().parents[1]
+    digest = sha256()
+    for file in sorted(package.rglob("*.py")):
+        name = file.relative_to(package).as_posix()
+        if name == "cli.py" or name.startswith("runner/"):
+            continue
+        digest.update(name.encode() + b"\0" + file.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 class ResultCache:
-    """Content-addressed store of job results, keyed by job digest."""
+    """Content-addressed store of job results, keyed by job digest and
+    code digest."""
 
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
@@ -38,7 +60,9 @@ class ResultCache:
         self.misses = 0
 
     def path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
+        """Where the result of the job with ``digest`` lives for this code."""
+        key = sha256(f"{digest}:{code_digest()}".encode()).hexdigest()
+        return self.root / key[:2] / f"{key}.json"
 
     # -- lookup ------------------------------------------------------------
 
@@ -51,6 +75,7 @@ class ResultCache:
             self.misses += 1
             return None
         if (envelope.get("schema") != CACHE_SCHEMA
+                or envelope.get("code") != code_digest()
                 or envelope.get("job") != spec.canonical()
                 or envelope.get("result_digest")
                 != payload_digest(envelope.get("payload"))):
@@ -66,6 +91,7 @@ class ResultCache:
         """Atomically persist ``payload`` under ``spec``'s digest."""
         envelope = {
             "schema": CACHE_SCHEMA,
+            "code": code_digest(),
             "job": spec.canonical(),
             "label": spec.label,
             "payload": payload,
@@ -94,14 +120,6 @@ class ResultCache:
         if not self.root.is_dir():
             return 0
         return sum(1 for _ in self.root.glob("??/*.json"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for entry in self.root.glob("??/*.json"):
-            entry.unlink()
-            removed += 1
-        return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ResultCache {self.root} entries={len(self)} "

@@ -12,8 +12,8 @@ The kernel is deliberately tiny and deterministic:
   handling) flows through these charges, which is what makes contention
   effects — such as the paper's Figure 9 polling interference — emerge
   rather than being hard-coded.
-- :mod:`~repro.sim.sync` provides semaphores, mutexes, condition
-  variables and mailboxes usable from tasks.
+- :mod:`~repro.sim.sync` provides one-shot flags, condition variables
+  and mailboxes usable from tasks.
 """
 
 from repro.sim.coroutines import (
@@ -54,8 +54,6 @@ from repro.sim.sync import (
     Flag,
     Mailbox,
     MailboxSelect,
-    Mutex,
-    Semaphore,
 )
 
 __all__ = [
@@ -77,8 +75,6 @@ __all__ = [
     "ClockCharge",
     "ClockSleep",
     "MailboxSelect",
-    "Mutex",
-    "Semaphore",
     "Sleep",
     "Task",
     "TaskState",

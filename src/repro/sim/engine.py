@@ -150,9 +150,6 @@ class Event:
         if engine is not None:
             engine._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time} seq={self.seq} {state} {self.callback!r}>"

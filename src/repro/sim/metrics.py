@@ -172,10 +172,6 @@ class MetricsRegistry:
         out.sort(key=lambda m: (m.name, m.labels))
         return out
 
-    def clear(self) -> None:
-        self._metrics.clear()
-        self._kind_of.clear()
-
     def __len__(self) -> int:
         return len(self._metrics)
 

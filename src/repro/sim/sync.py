@@ -4,10 +4,9 @@ All primitives follow one protocol: a task yields ``wait(primitive)``; the
 scheduler calls ``_try_acquire(task)`` which either succeeds immediately or
 registers the task as a waiter.  Signalling wakes waiters in FIFO order via
 ``task.cpu.make_ready`` — waking is therefore correct across CPUs, which the
-rendezvous protocol relies on (the sender-side thread releases a semaphore
-that a receiver-side thread on a different node blocks on is *not* done —
-all cross-node signalling goes through the network models; these primitives
-are only shared between threads of one simulated process).
+rendezvous protocol relies on (cross-node signalling itself goes through
+the network models; these primitives are only shared between threads of
+one simulated process).
 
 Waiter queues are plain lists: a 1024-rank world holds thousands of
 primitives that never see a waiter, or only one at a time, and an empty
@@ -42,76 +41,6 @@ def _pop_live(waiters: list) -> "Task | None":
         if not task.finished:
             return task
     return None
-
-
-class Semaphore:
-    """Counting semaphore.  ``wait(sem)`` is P, :meth:`release` is V.
-
-    The analogue of ``marcel_sem_t``.  ch_mad's rendezvous sync structure
-    does not need one: its receive handle is a one-shot :class:`Flag`
-    that the polling thread sets when the data message lands (§4.2.2).
-    """
-
-    def __init__(self, value: int = 0, name: str | None = None):
-        if value < 0:
-            raise SimulationError("semaphore initial value must be >= 0")
-        self.value = value
-        self.name = name or "sem"
-        self._waiters: list["Task"] = []
-
-    def _try_acquire(self, task: "Task") -> tuple[bool, Any]:
-        if self.value > 0:
-            self.value -= 1
-            return True, None
-        self._waiters.append(task)
-        return False, None
-
-    def release(self, count: int = 1) -> None:
-        """V the semaphore ``count`` times, waking blocked tasks FIFO."""
-        for _ in range(count):
-            task = _pop_live(self._waiters)
-            if task is not None:
-                task.cpu.make_ready(task, None)
-            else:
-                self.value += 1
-
-    def waiting(self) -> int:
-        """Number of live tasks currently blocked."""
-        return sum(1 for t in self._waiters if not t.finished)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Semaphore {self.name} value={self.value} waiting={self.waiting()}>"
-
-
-class Mutex:
-    """Binary lock.  ``wait(mutex)`` acquires, :meth:`release` releases."""
-
-    def __init__(self, name: str | None = None):
-        self.name = name or "mutex"
-        self.locked = False
-        self.owner: "Task | None" = None
-        self._waiters: list["Task"] = []
-
-    def _try_acquire(self, task: "Task") -> tuple[bool, Any]:
-        if not self.locked:
-            self.locked = True
-            self.owner = task
-            return True, None
-        if self.owner is task:
-            raise SimulationError(f"task {task.name} would self-deadlock on {self.name}")
-        self._waiters.append(task)
-        return False, None
-
-    def release(self) -> None:
-        if not self.locked:
-            raise SimulationError(f"release of unlocked mutex {self.name}")
-        task = _pop_live(self._waiters)
-        if task is not None:
-            self.owner = task
-            task.cpu.make_ready(task, None)
-        else:
-            self.locked = False
-            self.owner = None
 
 
 class Flag:
@@ -191,10 +120,6 @@ class Mailbox:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def peek(self) -> Any:
-        """The oldest queued item without removing it (None if empty)."""
-        return self._items[0] if self._items else None
 
 
 class _SelectEntry:
@@ -277,14 +202,11 @@ class MailboxSelect:
 
 
 class Condition:
-    """Condition variable over an explicit :class:`Mutex`.
-
-    Usage from a task body (the mutex must be held)::
-
-        yield from cond.wait_holding(mutex)
+    """Condition variable: ``wait(cond)`` blocks until a notify.
 
     ``notify``/``notify_all`` may be called from tasks or plain event
-    callbacks; woken tasks re-acquire the mutex before returning.
+    callbacks.  Under the cooperative scheduler no lock is needed: a
+    task checks its predicate and waits without yielding in between.
     """
 
     def __init__(self, name: str | None = None):
@@ -294,17 +216,6 @@ class Condition:
     def _try_acquire(self, task: "Task") -> tuple[bool, Any]:
         self._waiters.append(task)
         return False, None
-
-    def wait_holding(self, mutex: Mutex):
-        """Generator helper: atomically release ``mutex`` and wait, then
-        re-acquire ``mutex`` before returning."""
-        from repro.sim.coroutines import wait  # local import to avoid cycle
-
-        if not mutex.locked:
-            raise SimulationError("Condition.wait_holding requires the mutex held")
-        mutex.release()
-        yield wait(self)
-        yield wait(mutex)
 
     def notify(self, count: int = 1) -> None:
         """Wake up to ``count`` waiters."""

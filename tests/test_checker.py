@@ -7,10 +7,16 @@ The positive tests pin the opposite: correct runs are violation-free and
 the disabled checker is the inert null object.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.check import NULL_CHECKER, CheckViolation
 from repro.cluster import ClusterConfig, MPIWorld, NodeSpec
 from repro.errors import DeadlockError, MPIRevokedError
@@ -239,9 +245,48 @@ def test_post_between_open_delivery_and_end_unpacking_is_flagged():
     assert len(seen) == 1
 
 
+DROPPED_RUN = """
+import gc, json, weakref
+from repro.check import checker
+from repro.sim import sync
+from repro.workloads import run
+
+engines = []
+init = checker.Checker.__init__
+
+def spy(self, engine, *args, **kwargs):
+    engines.append(weakref.ref(engine))
+    init(self, engine, *args, **kwargs)
+
+checker.Checker.__init__ = spy
+run("pingpong", check=True)
+gc.collect()
+print(json.dumps({
+    "engines": len(engines),
+    "alive": sum(ref() is not None for ref in engines),
+    "wrapped": [hasattr(sync.Mailbox.post, "__wrapped__"),
+                hasattr(sync.Flag.set, "__wrapped__")],
+}))
+"""
+
+
+def test_a_dropped_checked_run_keeps_nothing_alive_or_armed():
+    """Once a checked run is dropped and collected, its engine is freed
+    and ``Mailbox.post``/``Flag.set`` are the plain functions again.
+    Checked in a fresh interpreter: this test process has other
+    checked engines alive."""
+    src = Path(repro.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", DROPPED_RUN], text=True, check=True,
+        stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)))
+    state = json.loads(done.stdout.splitlines()[-1])
+    assert state == {"engines": 1, "alive": 0, "wrapped": [False, False]}
+
+
 # ---------------------------------------------------------------------------
 # plant: an artificial receive cycle, diagnosed rank by rank
 # ---------------------------------------------------------------------------
+
 
 def test_recv_cycle_is_diagnosed_rank_by_rank():
     world = MPIWorld(linear_cluster(2, networks=("sisci",)))

@@ -1,10 +1,9 @@
-"""Tests for communicator management: dup, split, create, contexts."""
+"""Tests for communicator management: dup, split, contexts."""
 
 import pytest
 
 from repro.errors import MPICommError
 from repro.mpi.constants import UNDEFINED
-from repro.mpi.group import Group
 from repro.mpi.reduce_ops import SUM
 from tests.helpers import run_ranks
 
@@ -72,23 +71,6 @@ class TestSplit:
         assert results == [True, 2, 2]
 
 
-class TestCreate:
-    def test_create_subgroup(self):
-        def program(mpi):
-            comm = mpi.comm_world
-            group = Group([0, 2])
-            sub = yield from comm.create(group)
-            if comm.rank in (0, 2):
-                value = yield from sub.allreduce(1, op=SUM)
-                return (sub.rank, value)
-            return sub
-
-        results = run_ranks(program, nranks=3)
-        assert results[0] == (0, 2)
-        assert results[1] is None
-        assert results[2] == (1, 2)
-
-
 class TestFree:
     def test_freed_comm_rejects_operations(self):
         def program(mpi):
@@ -123,3 +105,23 @@ class TestEnvMisc:
             yield  # pragma: no cover
 
         assert run_ranks(program, nranks=3) == [(0, 3, 0), (1, 3, 1), (2, 3, 2)]
+
+
+class TestSubcommStatusTranslation:
+    def test_status_source_is_comm_relative(self):
+        """A side effect worth pinning: on split comms, Status.source must
+        be the communicator rank, not the world rank."""
+        def program(mpi):
+            comm = mpi.comm_world
+            sub = yield from comm.split(comm.rank % 2)
+            # Odd world ranks 1,3 -> sub ranks 0,1.
+            if comm.rank == 3:
+                yield from sub.send("hello", dest=0, tag=1)
+                return None
+            if comm.rank == 1:
+                data, status = yield from sub.recv(source=1, tag=1)
+                return (data, status.source, status.source_world)
+            return None
+
+        results = run_ranks(program, nranks=4)
+        assert results[1] == ("hello", 1, 3)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import MPIRankError
 from repro.mpi.constants import UNDEFINED
-from repro.mpi.group import Group, IDENT, SIMILAR, UNEQUAL
+from repro.mpi.group import Group
 
 
 class TestGroupBasics:
@@ -15,10 +15,6 @@ class TestGroupBasics:
         assert g.world_rank(0) == 4
         assert g.rank_of(7) == 2
         assert g.rank_of(99) == UNDEFINED
-
-    def test_contains(self):
-        g = Group([1, 3])
-        assert 3 in g and 2 not in g
 
     def test_duplicate_ranks_rejected(self):
         with pytest.raises(MPIRankError):
@@ -32,59 +28,12 @@ class TestGroupBasics:
         with pytest.raises(MPIRankError):
             Group([0, 1]).world_rank(5)
 
-    def test_compare(self):
-        assert Group([0, 1]).compare(Group([0, 1])) == IDENT
-        assert Group([0, 1]).compare(Group([1, 0])) == SIMILAR
-        assert Group([0, 1]).compare(Group([0, 2])) == UNEQUAL
-
-    def test_translate_ranks(self):
-        a = Group([5, 6, 7])
-        b = Group([7, 5])
-        assert a.translate_ranks([0, 1, 2], b) == [1, UNDEFINED, 0]
-
-
-class TestGroupSetOps:
-    def test_union_keeps_order(self):
-        assert Group([1, 2]).union(Group([3, 2])).world_ranks == (1, 2, 3)
-
-    def test_intersection(self):
-        assert Group([1, 2, 3]).intersection(Group([3, 1])).world_ranks == (1, 3)
-
-    def test_difference(self):
-        assert Group([1, 2, 3]).difference(Group([2])).world_ranks == (1, 3)
-
-    def test_incl(self):
-        assert Group([10, 11, 12]).incl([2, 0]).world_ranks == (12, 10)
-
-    def test_excl(self):
-        assert Group([10, 11, 12]).excl([1]).world_ranks == (10, 12)
-
 
 ranks_lists = st.lists(st.integers(0, 30), min_size=0, max_size=12,
                        unique=True)
 
 
 class TestGroupProperties:
-    @given(ranks_lists, ranks_lists)
-    @settings(max_examples=80, deadline=None)
-    def test_union_contains_both(self, a, b):
-        union = Group(a).union(Group(b))
-        for r in a + b:
-            assert r in union
-
-    @given(ranks_lists, ranks_lists)
-    @settings(max_examples=80, deadline=None)
-    def test_intersection_subset_of_both(self, a, b):
-        inter = Group(a).intersection(Group(b))
-        for r in inter.world_ranks:
-            assert r in a and r in b
-
-    @given(ranks_lists, ranks_lists)
-    @settings(max_examples=80, deadline=None)
-    def test_difference_disjoint_from_other(self, a, b):
-        diff = Group(a).difference(Group(b))
-        assert not set(diff.world_ranks) & set(b)
-
     @given(ranks_lists.filter(lambda xs: len(xs) > 0))
     @settings(max_examples=80, deadline=None)
     def test_rank_roundtrip(self, ranks):

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runner import (
     CACHE_SCHEMA,
     EXECUTORS,
@@ -129,6 +135,41 @@ def test_cache_rejects_corrupt_entry(tmp_path, scratch_kind):
     result = run_specs([spec], cache=cache)[0]
     assert not result.cached and result.payload == {"v": 7}
     assert cache.get(spec) is not None
+
+
+def test_warm_cache_misses_after_a_code_edit(tmp_path):
+    """A cached result is served only to the code that made it: raising
+    the SCI wire latency in a copy of the sources turns the warm cache
+    into a miss with the new result; a docstring edit in the CLI, which
+    computes nothing, still hits."""
+    src = tmp_path / "src"
+    shutil.copytree(Path(repro.__file__).resolve().parents[1], src,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    cache = tmp_path / "cache"
+
+    def run_pingpong():
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--workload", "pingpong",
+             "--cache", str(cache)],
+            check=True, text=True, stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        answer = json.loads(done.stdout)
+        return answer["cached"], answer["result_digest"]
+
+    def edit(relative, old, new):
+        path = src / "repro" / relative
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+
+    cached, before = run_pingpong()
+    assert not cached
+    assert run_pingpong() == (True, before)
+    edit("networks/sisci.py", "wire_latency=us(1.85)", "wire_latency=us(3.85)")
+    cached, after = run_pingpong()
+    assert not cached and after != before
+    edit("cli.py", '"""', '"""Edited. ')
+    assert run_pingpong() == (True, after)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from repro.errors import SimulationError
 from repro.sim import (
     CPU,
     Engine,
-    Semaphore,
+    Flag,
+    Mailbox,
     TaskState,
     charge,
     clock_charge,
@@ -255,20 +256,21 @@ def test_stale_completion_of_a_killed_charger_leaves_the_cpu_alone(engine, cpu):
 
 
 def test_kill_blocked_task(engine, cpu):
-    sem = Semaphore(0)
+    box = Mailbox()
 
     def body():
-        yield wait(sem)
+        yield wait(box)
 
     task = cpu.spawn(body)
     engine.run()
     assert task.state is TaskState.BLOCKED
     task.kill()
     assert task.state is TaskState.KILLED
-    # Releasing afterwards must not wake the corpse.
-    sem.release()
+    # Posting afterwards must not wake the corpse: the item stays queued.
+    box.post("x")
     engine.run()
     assert task.state is TaskState.KILLED
+    assert len(box) == 1
 
 
 def test_switch_cost_charged_between_tasks(engine):
@@ -310,11 +312,11 @@ def test_busy_time_accounting(engine, cpu):
 
 
 def test_daemon_flag_and_live_tasks(engine, cpu):
-    sem = Semaphore(0)
+    never = Flag()
 
     def poller():
         while True:
-            yield wait(sem)
+            yield wait(never)
 
     def main():
         yield charge(10)
@@ -450,7 +452,8 @@ def test_zero_charge_settles_a_debt_and_is_free_without_one(engine, cpu):
 def test_owed_time_is_paid_before_any_other_system_call(engine, cpu, call):
     """The call is interpreted at the later time, as if a charge of the
     owed amount had preceded it."""
-    sem = Semaphore(value=1)
+    ready = Flag()
+    ready.set()
     seen = {}
 
     def other():
@@ -460,8 +463,8 @@ def test_owed_time_is_paid_before_any_other_system_call(engine, cpu, call):
     def body():
         cpu.owe(40)
         if call == "wait":
-            yield wait(sem)
-            seen["after"] = engine.now          # acquired at t=40
+            yield wait(ready)
+            seen["after"] = engine.now          # returns at t=40
         elif call == "sleep":
             yield sleep(10)
             seen["after"] = engine.now          # 40 + 10; other ran meanwhile
@@ -530,11 +533,11 @@ def test_a_failing_task_leaves_no_debt_for_the_next_holder(engine, cpu):
 
 
 def test_a_task_killed_while_paying_leaves_no_debt(engine, cpu):
-    sem = Semaphore()
+    box = Mailbox()
 
     def debtor():
         cpu.owe(100)
-        yield wait(sem)  # pays first: charging until t=100
+        yield wait(box)  # pays first: charging until t=100
 
     def survivor():
         yield charge(5)
@@ -548,7 +551,8 @@ def test_a_task_killed_while_paying_leaves_no_debt(engine, cpu):
     engine.run()
     assert survivor_task.result == 55
     assert survivor_task.cpu_time == 5
-    assert sem.waiting() == 0  # the wait was never interpreted
+    box.post("x")
+    assert len(box) == 1  # the wait was never interpreted: no waiter
 
 
 def test_owe_without_a_running_task_is_an_error(engine, cpu):
